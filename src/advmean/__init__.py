@@ -1,5 +1,6 @@
 """Adversarial lower-bound constructions and benchmarks for one-dimensional
-mean estimation on finite atomic distributions."""
+mean estimation on finite atomic distributions.  The names imported below
+are the package's public surface."""
 
 from .adversary import (
     AdversaryResult,
@@ -12,7 +13,6 @@ from .adversary import (
     mean_shift,
     regime_flags,
     skew_measures,
-    solve_skew,
 )
 from .distribution import (
     AtomicDistribution,
@@ -54,56 +54,4 @@ from .harness import (
     verify_theorem,
 )
 
-__all__ = [
-    "AdversaryResult",
-    "AtomicDistribution",
-    "Case",
-    "Condition",
-    "DegenerateError",
-    "DomainError",
-    "HellingerReport",
-    "InsufficientSamplesError",
-    "RatioReport",
-    "RegimeError",
-    "RegimeFlags",
-    "SampleBatch",
-    "Sign",
-    "TrialConfig",
-    "TrimResult",
-    "VerificationReport",
-    "WeightedMeasure",
-    "asymptotic_scan",
-    "bench_mom",
-    "bhattacharyya",
-    "brute_force_trim",
-    "construct_q",
-    "density_ratio",
-    "epsilon",
-    "group_count",
-    "hellinger_sq",
-    "indistinguishable",
-    "load_distribution",
-    "lr_test_error",
-    "mean",
-    "mean_shift",
-    "median_of_means",
-    "mixture",
-    "normalize",
-    "regime_flags",
-    "reweight",
-    "sample",
-    "sample_mean",
-    "save_distribution",
-    "scale",
-    "shift",
-    "skew_measures",
-    "solve_skew",
-    "standard_trim",
-    "std",
-    "trial_stream",
-    "trim",
-    "variance",
-    "verify_neighborhood",
-    "verify_theorem",
-]
 __version__ = "0.1.0"

@@ -26,26 +26,25 @@ flags and nothing is promised.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .distribution import (
     AtomicDistribution,
+    CoreStats,
     WeightedMeasure,
+    align,
+    core_stats,
     mean,
     mixture,
     normalize,
     reweight,
     shift,
-    standard_trim,
-    std,
-    trim_fraction,
 )
 from .divergence import hellinger_sq
-from .errors import DegenerateError, DomainError
+from .errors import DegenerateError, DomainError, RegimeError
 
 REGIME_DELTA_MAX = 0.1
 REGIME_RATIO_MAX = 0.01
@@ -94,6 +93,20 @@ def regime_flags(n: float, delta: float) -> RegimeFlags:
     )
 
 
+def require_regime(n: float, delta: float, override_regime: bool) -> RegimeFlags:
+    """The regime flags of ``(n, delta)``; outside the asserted regime this
+    raises :class:`RegimeError` unless ``override_regime`` is set."""
+    flags = regime_flags(n, delta)
+    if not flags.ok and not override_regime:
+        raise RegimeError(
+            f"(n={n!r}, delta={delta!r}) is outside the asserted regime "
+            "(delta <= 0.1, log(1/delta)/n <= 0.01)",
+            delta_ok=flags.delta_ok,
+            ratio_ok=flags.ratio_ok,
+        )
+    return flags
+
+
 @dataclass(frozen=True)
 class RatioReport:
     """Per-atom density ratios of ``q`` against ``p``.
@@ -116,7 +129,8 @@ class AdversaryResult:
     records measured values (error bound, means, mean shift, sup ratio,
     squared Hellinger distance); ``saturated`` marks a skew solve that hit
     the bracket's upper endpoint without reaching the target, which can only
-    happen outside the asserted regime.
+    happen outside the asserted regime.  ``stats`` holds ``p``'s core
+    statistics for reuse by the verifiers; it is not serialized.
     """
 
     q: AtomicDistribution
@@ -127,6 +141,7 @@ class AdversaryResult:
     b: float | None
     diagnostics: dict
     regime: RegimeFlags
+    stats: CoreStats = field(repr=False, compare=False)
     saturated: bool = False
 
     def meta_dict(self) -> dict:
@@ -197,50 +212,30 @@ def _bisect_skew(
     return 0.5 * (lo + hi), False
 
 
-def solve_skew(p: AtomicDistribution, n: float, delta: float) -> float:
-    """Skew slope ``a`` for the small-mean-gap branch.
-
-    Requires that branch's condition to hold and the trimmed core to have
-    positive deviation.  Emits a warning (and returns the bracket's upper
-    endpoint) if the target is unreachable, which only occurs outside the
-    asserted regime.
-    """
-    core = standard_trim(p, n, delta).trimmed
-    sigma_star = std(core)
-    log_term = math.log(1.0 / delta)
-    gap = abs(mean(p) - mean(core))
-    if gap > sigma_star * math.sqrt(4.5 * log_term / n):
-        raise DomainError(
-            "skew solve applies only when the mean gap does not dominate"
-        )
-    if sigma_star <= 0.0:
-        raise DegenerateError(
-            "trimmed core is a point mass; the skew target is zero"
-        )
-    centered = shift(p, -mean(p))
-    target = MEAN_SHIFT_TARGET_COEFF * sigma_star * math.sqrt(log_term / n)
-    a_hi = math.sqrt(log_term / n) / sigma_star
-    a, saturated = _bisect_skew(centered, target, a_hi)
-    if saturated:
-        warnings.warn(
-            "skew target unreachable at the bracket endpoint; returning the "
-            "endpoint (outside the asserted regime)",
-            stacklevel=2,
-        )
-    return a
-
-
 def density_ratio(q: AtomicDistribution, p: AtomicDistribution) -> RatioReport:
     """Per-atom mass ratios ``q(x)/p(x)`` at the atoms of ``p``."""
-    q_masses = dict(zip(map(float, q.xs), map(float, q.ws)))
-    ratios = np.array(
-        [q_masses.pop(float(x), 0.0) / float(w) for x, w in zip(p.xs, p.ws)]
-    )
-    if q_masses:
+    xs, wp, wq = align(p, q)
+    on_p = wp > 0.0
+    ratios = wq[on_p] / wp[on_p]
+    if not on_p.all():
         # q carries mass somewhere p has none
-        offending = min(q_masses)
-        return RatioReport(ratios, float("inf"), offending)
+        return RatioReport(ratios, float("inf"), float(xs[~on_p][0]))
     return RatioReport(ratios, float(ratios.max()))
+
+
+def pair_diagnostics(
+    p: AtomicDistribution, q: AtomicDistribution, stats: CoreStats
+) -> dict:
+    """Measured values of the pair ``(p, q)``; ``stats`` are ``p``'s."""
+    mu_q = mean(q)
+    return {
+        "epsilon_p": stats.eps,
+        "mu_p": stats.mu,
+        "mu_q": mu_q,
+        "mean_shift": abs(mu_q - stats.mu),
+        "sup_ratio": density_ratio(q, p).sup_ratio,
+        "hellinger_sq": hellinger_sq(p, q),
+    }
 
 
 def construct_q(p: AtomicDistribution, n: float, delta: float) -> AdversaryResult:
@@ -251,57 +246,33 @@ def construct_q(p: AtomicDistribution, n: float, delta: float) -> AdversaryResul
     raises :class:`DegenerateError`.
     """
     flags = regime_flags(n, delta)
-    if trim_fraction(n, delta) >= 1.0:
-        raise DomainError("trimmed mass would reach 1; shrink log(1/delta)/n")
+    stats = core_stats(p, n, delta)
     if p.num_atoms == 1:
         raise DegenerateError("a point mass has no distinct indistinguishable partner")
 
-    core = standard_trim(p, n, delta).trimmed
-    mu_p = mean(p)
-    mu_star = mean(core)
-    sigma_star = std(core)
-    log_term = math.log(1.0 / delta)
-    gap = abs(mu_p - mu_star)
-    threshold = sigma_star * math.sqrt(4.5 * log_term / n)
-    eps_p = gap + threshold
-
     saturated = False
-    if gap > threshold:
+    if stats.gap > stats.threshold:
         case = Case.LARGE_MEAN_SHIFT
         lam: float | None = 0.75
         a = sign = b = None
-        q = mixture(p, core, lam)
+        q = mixture(p, stats.core, lam)
     else:
         case = Case.SMALL_MEAN_SHIFT
         lam = None
-        if sigma_star <= 0.0:
+        if stats.sigma_star <= 0.0:
             raise DegenerateError(
                 "trimmed core is a point mass at the mean; no skew target"
             )
-        target = MEAN_SHIFT_TARGET_COEFF * sigma_star * math.sqrt(log_term / n)
-        a_hi = math.sqrt(log_term / n) / sigma_star
-        centered = shift(p, -mu_p)
-        a, saturated = _bisect_skew(centered, target, a_hi)
-        # Reweight the original atoms with the centered argument; this keeps
-        # positions bitwise identical to p's, which the support-sensitive
-        # ratio and Hellinger checks rely on.
-        plus = reweight(p, lambda x: 1.0 + min(1.0, max(-1.0, a * (x - mu_p))))
-        minus = reweight(p, lambda x: 1.0 + min(1.0, max(-1.0, -a * (x - mu_p))))
+        root = math.sqrt(math.log(1.0 / delta) / n)
+        target = MEAN_SHIFT_TARGET_COEFF * stats.sigma_star * root
+        a, saturated = _bisect_skew(shift(p, -stats.mu), target, root / stats.sigma_star)
+        plus, minus = skew_measures(p, a)
         if plus.total_mass >= minus.total_mass:
             sign, chosen = Sign.PLUS, plus
         else:
             sign, chosen = Sign.MINUS, minus
         q, b = normalize(chosen)
 
-    ratio = density_ratio(q, p)
-    diagnostics = {
-        "epsilon_p": eps_p,
-        "mu_p": mu_p,
-        "mu_q": mean(q),
-        "mean_shift": abs(mean(q) - mu_p),
-        "sup_ratio": ratio.sup_ratio,
-        "hellinger_sq": hellinger_sq(p, q),
-    }
     return AdversaryResult(
         q=q,
         case=case,
@@ -309,8 +280,9 @@ def construct_q(p: AtomicDistribution, n: float, delta: float) -> AdversaryResul
         a=a,
         sign=sign,
         b=b,
-        diagnostics=diagnostics,
+        diagnostics=pair_diagnostics(p, q, stats),
         regime=flags,
+        stats=stats,
         saturated=saturated,
     )
 
@@ -319,8 +291,11 @@ def skew_measures(
     p: AtomicDistribution, a: float
 ) -> tuple[WeightedMeasure, WeightedMeasure]:
     """The raw skewed measures (positive and negative slope) around ``p``'s
-    mean, before selection and rescaling.  Exposed for diagnostics and
-    property checks; their total masses sum to 2."""
+    mean, before selection and rescaling; their total masses sum to 2.
+
+    The weights take the centered argument but reweight ``p``'s own atoms,
+    which keeps positions bitwise identical to ``p``'s, as the
+    support-sensitive ratio and Hellinger checks require."""
     mu = mean(p)
     plus = reweight(p, lambda x: 1.0 + min(1.0, max(-1.0, a * (x - mu))))
     minus = reweight(p, lambda x: 1.0 + min(1.0, max(-1.0, -a * (x - mu))))

@@ -24,9 +24,9 @@ import sys
 from pathlib import Path
 
 from . import corpus
-from .adversary import construct_q, regime_flags
+from .adversary import RegimeFlags, construct_q, require_regime
 from .distribution import distribution_to_dict, load_distribution
-from .errors import DegenerateError, DomainError, InsufficientSamplesError
+from .errors import DegenerateError, DomainError, InsufficientSamplesError, RegimeError
 from .harness import (
     TrialConfig,
     VerificationReport,
@@ -82,39 +82,43 @@ def _load(path: str):
         raise _CliError(EXIT_USAGE, f"{path}: {exc}") from exc
 
 
-def _check_regime(n: int, delta: float, override: bool) -> None:
-    flags = regime_flags(n, delta)
-    if not flags.ok and not override:
-        raise _CliError(
-            EXIT_REFUSED,
-            f"(n={n}, delta={delta}) is outside the asserted regime "
-            "(delta <= 0.1, log(1/delta)/n <= 0.01); rerun with "
-            "--override-regime to proceed without assertions",
-        )
+def _regime(args) -> RegimeFlags:
+    flags = require_regime(args.n, args.delta, args.override_regime)
     if not flags.ok:
         print(
             "warning: outside the asserted regime; conditions are reported "
             "but not enforced",
             file=sys.stderr,
         )
+    return flags
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("ADVMEAN_SEED", "0"))
+def _trial_config(args) -> TrialConfig:
+    seed = args.seed
+    if seed is None:
+        raw = os.environ.get("ADVMEAN_SEED", "0")
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise _CliError(
+                EXIT_USAGE, f"ADVMEAN_SEED must be an integer, got {raw!r}"
+            ) from None
+    return TrialConfig(n=args.n, delta=args.delta, trials=args.trials, seed=seed)
 
 
-def _report_exit(report: VerificationReport, override: bool) -> int:
+def _emit_verification(report: VerificationReport, args) -> int:
+    _emit(_json_bytes(report.to_dict()), args.out)
     if report.degenerate:
         print(f"refused: degenerate input ({report.meta.get('reason')})", file=sys.stderr)
         return EXIT_REFUSED
-    if not report.regime.ok and override:
+    if not report.regime.ok and args.override_regime:
         return EXIT_PASS
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
 def _cmd_construct(args) -> int:
     p = _load(args.infile)
-    _check_regime(args.n, args.delta, args.override_regime)
+    _regime(args)
     try:
         res = construct_q(p, args.n, args.delta)
     except DegenerateError as exc:
@@ -128,92 +132,57 @@ def _cmd_construct(args) -> int:
 
 def _cmd_verify(args) -> int:
     p = _load(args.infile)
-    _check_regime(args.n, args.delta, args.override_regime)
+    flags = _regime(args)
     if args.pair:
         q = _load(args.pair)
         conditions = pair_conditions(p, q, args.n, args.delta)
         report = VerificationReport(
             claim="indistinguishable_pair",
             conditions=conditions,
-            regime=regime_flags(args.n, args.delta),
+            regime=flags,
             meta={"mode": "pair", "pair_file": str(args.pair)},
         )
     else:
         report = verify_theorem(
             p, args.n, args.delta, override_regime=args.override_regime
         )
-    _emit(_json_bytes(report.to_dict()), args.out)
-    return _report_exit(report, args.override_regime)
+    return _emit_verification(report, args)
 
 
 def _cmd_neighborhood(args) -> int:
     p = _load(args.infile)
-    _check_regime(args.n, args.delta, args.override_regime)
+    _regime(args)
     report = verify_neighborhood(
         p, args.n, args.delta, override_regime=args.override_regime
     )
-    _emit(_json_bytes(report.to_dict()), args.out)
-    return _report_exit(report, args.override_regime)
+    return _emit_verification(report, args)
 
 
-def _bench_csv(rows: list[dict]) -> str:
-    return _csv_text(
-        rows,
-        [
-            "distribution",
-            "n",
-            "delta",
-            "trials",
-            "seed",
-            "failure_rate",
-            "bound",
-            "ci_halfwidth",
-            "pass",
-        ],
-    )
+def _emit_trials(report: dict, args, columns: list[str]) -> int:
+    """Write a Monte-Carlo report; ``columns`` are its rate columns in CSV."""
+    report["distribution"] = Path(args.infile).stem
+    if args.format == "csv":
+        header = ["distribution", "n", "delta", "trials", "seed", *columns]
+        _emit(_csv_text([report], header + ["ci_halfwidth", "pass"]), args.out)
+    else:
+        _emit(_json_bytes(report), args.out)
+    return EXIT_PASS if report["pass"] else EXIT_FAIL
 
 
 def _cmd_bench_mom(args) -> int:
     p = _load(args.infile)
-    cfg = TrialConfig(n=args.n, delta=args.delta, trials=args.trials, seed=args.seed)
+    cfg = _trial_config(args)
     try:
-        report = bench_mom(p, cfg, workers=args.workers)
+        report = bench_mom(p, cfg)
     except InsufficientSamplesError as exc:
         raise _CliError(EXIT_USAGE, str(exc)) from exc
-    report["distribution"] = Path(args.infile).stem
-    if args.format == "csv":
-        _emit(_bench_csv([report]), args.out)
-    else:
-        _emit(_json_bytes(report), args.out)
-    return EXIT_PASS if report["pass"] else EXIT_FAIL
+    return _emit_trials(report, args, ["failure_rate", "bound"])
 
 
 def _cmd_distinguish(args) -> int:
     p = _load(args.infile)
     q = _load(args.pair)
-    cfg = TrialConfig(n=args.n, delta=args.delta, trials=args.trials, seed=args.seed)
-    report = lr_test_error(p, q, cfg, workers=args.workers)
-    report["distribution"] = Path(args.infile).stem
-    if args.format == "csv":
-        _emit(
-            _csv_text(
-                [report],
-                [
-                    "distribution",
-                    "n",
-                    "delta",
-                    "trials",
-                    "seed",
-                    "empirical_error",
-                    "ci_halfwidth",
-                    "pass",
-                ],
-            ),
-            args.out,
-        )
-    else:
-        _emit(_json_bytes(report), args.out)
-    return EXIT_PASS if report["pass"] else EXIT_FAIL
+    return _emit_trials(lr_test_error(p, q, _trial_config(args)), args, ["empirical_error"])
 
 
 def _cmd_scan(args) -> int:
@@ -266,8 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--pair", default=None, help="second distribution JSON")
         if trials:
             sp.add_argument("--trials", type=int, default=20000)
-            sp.add_argument("--seed", type=int, default=_default_seed())
-            sp.add_argument("--workers", type=int, default=1)
+            sp.add_argument("--seed", type=int, default=None)
         if fmt:
             sp.add_argument("--format", choices=fmt, default=fmt[0])
         sp.add_argument(
@@ -322,6 +290,13 @@ def main(argv: list[str] | None = None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except RegimeError as exc:
+        print(
+            f"error: {exc}; rerun with --override-regime to proceed without "
+            "assertions",
+            file=sys.stderr,
+        )
+        return EXIT_REFUSED
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

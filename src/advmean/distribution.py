@@ -5,8 +5,8 @@ many points, so every integral is a finite sum and every density ratio is a
 per-atom mass ratio.  This module provides the two value types
 (:class:`AtomicDistribution` for unit mass, :class:`WeightedMeasure` for
 arbitrary positive mass), moments, the radial trimming operation, the
-trimming-based instance error bound, mixing, pointwise reweighting, affine
-maps, and the JSON file format used by the CLI.
+trimmed-core statistics and error bound, support alignment, mixing,
+pointwise reweighting, affine maps, and the JSON file format used by the CLI.
 
 Numerical conventions
 ---------------------
@@ -242,14 +242,78 @@ def standard_trim(d: AtomicDistribution, n: float, delta: float) -> TrimResult:
     return trim(d, t)
 
 
+@dataclass(frozen=True)
+class CoreStats:
+    """The error-bound quantities of ``d`` at the budget ``(n, delta)``.
+
+    ``mu`` and ``var`` are ``d``'s moments, ``mu_star`` and ``sigma_star``
+    those of its trimmed core, and ``gap = |mu - mu_star|``.  ``rate`` is
+    ``sqrt(ERROR_COEFF * log(1/delta) / n)``, ``threshold = sigma_star * rate``
+    is the deviation term whose comparison with ``gap`` picks the
+    construction branch, and ``eps = gap + threshold`` is the error bound.
+    """
+
+    trim: TrimResult
+    mu: float
+    var: float
+    mu_star: float
+    sigma_star: float
+    gap: float
+    rate: float
+    threshold: float
+    eps: float
+
+    @property
+    def core(self) -> AtomicDistribution:
+        return self.trim.trimmed
+
+
+def core_stats(d: AtomicDistribution, n: float, delta: float) -> CoreStats:
+    """Trim ``d`` once and derive every quantity of the error bound from it.
+
+    Raises :class:`DomainError` when ``d``'s mean or variance overflows
+    float64, since no bound computed from them would be meaningful.
+    """
+    mu = mean(d)
+    with np.errstate(over="ignore"):
+        var = variance(d)
+    if not (math.isfinite(mu) and math.isfinite(var)):
+        raise DomainError(
+            f"moments overflow float64 (mean {mu!r}, variance {var!r}); "
+            "rescale the positions"
+        )
+    trimmed = standard_trim(d, n, delta)
+    mu_star = mean(trimmed.trimmed)
+    sigma_star = std(trimmed.trimmed)
+    gap = abs(mu - mu_star)
+    rate = math.sqrt(ERROR_COEFF * math.log(1.0 / delta) / n)
+    threshold = sigma_star * rate
+    return CoreStats(
+        trimmed, mu, var, mu_star, sigma_star, gap, rate, threshold, gap + threshold
+    )
+
+
 def epsilon(d: AtomicDistribution, n: float, delta: float) -> float:
     """Instance error bound: mean gap to the trimmed core plus its scaled
     deviation term, ``|mu - mu*| + sigma* * sqrt(ERROR_COEFF * log(1/delta) / n)``.
     """
-    core = standard_trim(d, n, delta).trimmed
-    gap = abs(mean(d) - mean(core))
-    rate = math.sqrt(ERROR_COEFF * math.log(1.0 / delta) / n)
-    return gap + std(core) * rate
+    return core_stats(d, n, delta).eps
+
+
+def align(
+    p: AtomicDistribution | WeightedMeasure, q: AtomicDistribution | WeightedMeasure
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both measures' masses on the sorted union of their supports.
+
+    Returns ``(xs, wp, wq)``; a measure with no atom at ``xs[i]`` has mass 0
+    there.  Positions match only when equal under ``==``.
+    """
+    xs = np.union1d(p.xs, q.xs)
+    wp = np.zeros(xs.size)
+    wq = np.zeros(xs.size)
+    wp[np.searchsorted(xs, p.xs)] = p.ws
+    wq[np.searchsorted(xs, q.xs)] = q.ws
+    return xs, wp, wq
 
 
 def mixture(
@@ -267,17 +331,8 @@ def mixture(
         return d2
     if lam == 1.0:
         return d1
-    masses: dict[float, float] = {float(x): 0.0 for x in d1.xs}
-    for x in d2.xs:
-        masses.setdefault(float(x), 0.0)
-    w1 = dict(zip(map(float, d1.xs), map(float, d1.ws)))
-    w2 = dict(zip(map(float, d2.xs), map(float, d2.ws)))
-    for x in masses:
-        a = w1.get(x, 0.0)
-        b = w2.get(x, 0.0)
-        masses[x] = b + lam * (a - b)
-    xs = sorted(masses)
-    return AtomicDistribution(xs, [masses[x] for x in xs])
+    xs, w1, w2 = align(d1, d2)
+    return AtomicDistribution(xs, w2 + lam * (w1 - w2))
 
 
 def reweight(

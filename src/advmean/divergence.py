@@ -13,7 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .distribution import AtomicDistribution, WeightedMeasure
+import numpy as np
+
+from .distribution import AtomicDistribution, WeightedMeasure, align
 from .errors import DomainError
 
 Measure = AtomicDistribution | WeightedMeasure
@@ -42,41 +44,37 @@ class HellingerReport:
         }
 
 
-def _merged_masses(p: Measure, q: Measure):
-    """Yield (p-mass, q-mass) across the union of the two supports."""
-    xs_p, ws_p = p.xs, p.ws
-    xs_q, ws_q = q.xs, q.ws
-    i = j = 0
-    while i < xs_p.size and j < xs_q.size:
-        if xs_p[i] == xs_q[j]:
-            yield float(ws_p[i]), float(ws_q[j])
-            i += 1
-            j += 1
-        elif xs_p[i] < xs_q[j]:
-            yield float(ws_p[i]), 0.0
-            i += 1
-        else:
-            yield 0.0, float(ws_q[j])
-            j += 1
-    for k in range(i, xs_p.size):
-        yield float(ws_p[k]), 0.0
-    for k in range(j, xs_q.size):
-        yield 0.0, float(ws_q[k])
-
-
 def hellinger_sq(p: Measure, q: Measure) -> float:
     """``0.5 * sum((sqrt(p_i) - sqrt(q_i))^2)`` over the union support."""
-    terms = [
-        (math.sqrt(wp) - math.sqrt(wq)) ** 2 for wp, wq in _merged_masses(p, q)
-    ]
-    return 0.5 * math.fsum(terms)
+    _, wp, wq = align(p, q)
+    # Python's ``**`` (libm pow) rather than numpy's square, which rounds
+    # differently on some inputs; reports are pinned bitwise.
+    diffs = (np.sqrt(wp) - np.sqrt(wq)).tolist()
+    return 0.5 * math.fsum([d ** 2 for d in diffs])
 
 
 def bhattacharyya(p: Measure, q: Measure) -> float:
     """``sum(sqrt(p_i * q_i))`` over the shared positions; equals
     ``1 - hellinger_sq`` for unit inputs."""
-    terms = [math.sqrt(wp * wq) for wp, wq in _merged_masses(p, q) if wp and wq]
-    return math.fsum(terms)
+    _, wp, wq = align(p, q)
+    shared = (wp > 0.0) & (wq > 0.0)
+    return math.fsum(np.sqrt(wp[shared] * wq[shared]).tolist())
+
+
+def hellinger_report(h_sq: float, n: float, delta: float) -> HellingerReport:
+    """The n-sample indistinguishability test on a given squared distance.
+
+    Unlike :func:`indistinguishable` it accepts ``delta >= 1/4``, so
+    exploratory out-of-regime runs still get a report."""
+    one_minus = 1.0 - h_sq
+    log_one_minus = math.log(one_minus) if one_minus > 0.0 else float("-inf")
+    rhs = math.log(4.0 * delta) / (2.0 * n)
+    return HellingerReport(
+        h_sq=h_sq,
+        log_one_minus=log_one_minus,
+        rhs=rhs,
+        indistinguishable=log_one_minus >= rhs,
+    )
 
 
 def indistinguishable(
@@ -94,13 +92,4 @@ def indistinguishable(
         )
     if not n >= 1:
         raise DomainError(f"sample count must be >= 1, got {n!r}")
-    h_sq = hellinger_sq(p, q)
-    one_minus = 1.0 - h_sq
-    log_one_minus = math.log(one_minus) if one_minus > 0.0 else float("-inf")
-    rhs = math.log(4.0 * delta) / (2.0 * n)
-    return HellingerReport(
-        h_sq=h_sq,
-        log_one_minus=log_one_minus,
-        rhs=rhs,
-        indistinguishable=log_one_minus >= rhs,
-    )
+    return hellinger_report(hellinger_sq(p, q), n, delta)

@@ -4,30 +4,31 @@ verifiers, and Monte-Carlo benchmarks.
 Randomness contract
 -------------------
 Every trial draws from its own counter-based stream, a Philox generator
-keyed by ``SeedSequence([seed, trial_index])``.  Trials therefore never share
-state, results are independent of worker count and scheduling, and identical
-configs reproduce bitwise-identical reports.
+keyed by ``SeedSequence([seed, trial_index])``.  A trial's outcome therefore
+depends only on ``(seed, trial_index)``: trials share no state, the order
+they run in does not matter, and identical configs reproduce
+bitwise-identical reports.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .adversary import RegimeFlags, construct_q, density_ratio, regime_flags
+from .adversary import RegimeFlags, construct_q, pair_diagnostics, require_regime
 from .distribution import (
     AtomicDistribution,
+    CoreStats,
     TrimResult,
+    align,
+    core_stats,
     epsilon,
-    mean,
-    standard_trim,
     variance,
 )
-from .divergence import hellinger_sq
-from .errors import DegenerateError, DomainError, InsufficientSamplesError, RegimeError
+from .divergence import hellinger_report
+from .errors import DegenerateError, DomainError, InsufficientSamplesError
 from .estimators import SampleBatch, group_count, median_of_means
 
 # Assertion slacks, folded into the reported bounds.
@@ -184,62 +185,46 @@ def brute_force_trim(d: AtomicDistribution, t: float) -> TrimResult:
 # ---------------------------------------------------------------------------
 
 
-def _require_regime(n: float, delta: float, override_regime: bool) -> RegimeFlags:
-    flags = regime_flags(n, delta)
-    if not flags.ok and not override_regime:
-        raise RegimeError(
-            f"(n={n!r}, delta={delta!r}) is outside the asserted regime "
-            f"(delta <= 0.1 and log(1/delta)/n <= 0.01); pass "
-            f"override_regime=True to proceed without assertions",
-            delta_ok=flags.delta_ok,
-            ratio_ok=flags.ratio_ok,
-        )
-    return flags
-
-
-def _hellinger_condition(
-    p: AtomicDistribution, q: AtomicDistribution, n: int, delta: float
-) -> Condition:
-    # Computed inline rather than through the predicate so that exploratory
-    # out-of-regime runs (delta >= 1/4, where the predicate refuses) still
-    # yield a report; in-regime the numbers are identical.
-    one_minus = 1.0 - hellinger_sq(p, q)
-    lhs = math.log(one_minus) if one_minus > 0.0 else float("-inf")
-    rhs = math.log(4.0 * delta) / (2.0 * n)
-    return Condition("hellinger_closeness", lhs, rhs - HELLINGER_TOL, "ge")
+def _pair_conditions(
+    q: AtomicDistribution, n: int, delta: float, stats: CoreStats, diag: dict
+) -> tuple[Condition, ...]:
+    eps_p = stats.eps
+    closeness = hellinger_report(diag["hellinger_sq"], n, delta)
+    return (
+        Condition(
+            "mean_separation",
+            diag["mean_shift"],
+            eps_p / 32.0 - MEAN_SHIFT_TOL,
+            "ge",
+        ),
+        Condition(
+            "hellinger_closeness",
+            closeness.log_one_minus,
+            closeness.rhs - HELLINGER_TOL,
+            "ge",
+        ),
+        Condition("density_ratio", diag["sup_ratio"], 2.0 + RATIO_TOL, "le"),
+        Condition(
+            "variance_doubling",
+            variance(q),
+            2.0 * stats.var + VARIANCE_TOL * (1.0 + stats.var),
+            "le",
+        ),
+        Condition(
+            "estimator_separation",
+            diag["mean_shift"],
+            2.0 * (eps_p / 64.0) - MEAN_SHIFT_TOL,
+            "ge",
+        ),
+    )
 
 
 def pair_conditions(
     p: AtomicDistribution, q: AtomicDistribution, n: int, delta: float
 ) -> tuple[Condition, ...]:
     """The separation/indistinguishability conditions for an explicit pair."""
-    eps_p = epsilon(p, n, delta)
-    shift_measured = abs(mean(q) - mean(p))
-    ratio = density_ratio(q, p)
-    var_p = variance(p)
-    var_q = variance(q)
-    return (
-        Condition(
-            "mean_separation",
-            shift_measured,
-            eps_p / 32.0 - MEAN_SHIFT_TOL,
-            "ge",
-        ),
-        _hellinger_condition(p, q, n, delta),
-        Condition("density_ratio", ratio.sup_ratio, 2.0 + RATIO_TOL, "le"),
-        Condition(
-            "variance_doubling",
-            var_q,
-            2.0 * var_p + VARIANCE_TOL * (1.0 + var_p),
-            "le",
-        ),
-        Condition(
-            "estimator_separation",
-            shift_measured,
-            2.0 * (eps_p / 64.0) - MEAN_SHIFT_TOL,
-            "ge",
-        ),
-    )
+    stats = core_stats(p, n, delta)
+    return _pair_conditions(q, n, delta, stats, pair_diagnostics(p, q, stats))
 
 
 def _degenerate_report(claim: str, flags: RegimeFlags, exc: Exception) -> VerificationReport:
@@ -261,41 +246,17 @@ def verify_theorem(
 ) -> VerificationReport:
     """Construct the partner of ``p`` and check the separation, Hellinger,
     density-ratio, and variance guarantees at their stated tolerances."""
-    flags = _require_regime(n, delta, override_regime)
+    flags = require_regime(n, delta, override_regime)
     try:
         res = construct_q(p, n, delta)
     except DegenerateError as exc:
         return _degenerate_report("indistinguishable_pair", flags, exc)
-    conditions = pair_conditions(p, res.q, n, delta)
+    conditions = _pair_conditions(res.q, n, delta, res.stats, res.diagnostics)
     return VerificationReport(
         claim="indistinguishable_pair",
         conditions=conditions,
         regime=flags,
         meta=res.meta_dict(),
-    )
-
-
-def neighborhood_conditions(
-    p: AtomicDistribution, q: AtomicDistribution, n: int, delta: float
-) -> tuple[Condition, ...]:
-    eps_p = epsilon(p, n, delta)
-    eps_q_shrunk = epsilon(q, n / SAMPLE_SHRINK, delta)
-    ratio = density_ratio(q, p)
-    return (
-        Condition(
-            "error_transfer",
-            eps_q_shrunk,
-            ERROR_TRANSFER_FACTOR * eps_p + ERROR_TRANSFER_TOL,
-            "le",
-        ),
-        _hellinger_condition(p, q, n, delta),
-        Condition(
-            "mean_shift_within",
-            abs(mean(q) - mean(p)),
-            eps_p + SHIFT_UPPER_TOL,
-            "le",
-        ),
-        Condition("density_ratio", ratio.sup_ratio, 2.0 + RATIO_TOL, "le"),
     )
 
 
@@ -311,19 +272,38 @@ def verify_neighborhood(
     closeness, mean shift within the error bound, and density ratio at most 2.
     The composite bound ``min(eps(n/3), eps(n))`` is recorded for both
     endpoints."""
-    flags = _require_regime(n, delta, override_regime)
+    flags = require_regime(n, delta, override_regime)
     try:
         res = construct_q(p, n, delta)
     except DegenerateError as exc:
         return _degenerate_report("neighborhood_membership", flags, exc)
-    conditions = neighborhood_conditions(p, res.q, n, delta)
+    eps_p, diag = res.stats.eps, res.diagnostics
+    eps_q_shrunk = epsilon(res.q, n / SAMPLE_SHRINK, delta)
+    closeness = hellinger_report(diag["hellinger_sq"], n, delta)
+    conditions = (
+        Condition(
+            "error_transfer",
+            eps_q_shrunk,
+            ERROR_TRANSFER_FACTOR * eps_p + ERROR_TRANSFER_TOL,
+            "le",
+        ),
+        Condition(
+            "hellinger_closeness",
+            closeness.log_one_minus,
+            closeness.rhs - HELLINGER_TOL,
+            "ge",
+        ),
+        Condition(
+            "mean_shift_within",
+            diag["mean_shift"],
+            eps_p + SHIFT_UPPER_TOL,
+            "le",
+        ),
+        Condition("density_ratio", diag["sup_ratio"], 2.0 + RATIO_TOL, "le"),
+    )
     meta = res.meta_dict()
-    meta["composite_bound_p"] = min(
-        epsilon(p, n / SAMPLE_SHRINK, delta), epsilon(p, n, delta)
-    )
-    meta["composite_bound_q"] = min(
-        epsilon(res.q, n / SAMPLE_SHRINK, delta), epsilon(res.q, n, delta)
-    )
+    meta["composite_bound_p"] = min(epsilon(p, n / SAMPLE_SHRINK, delta), eps_p)
+    meta["composite_bound_q"] = min(eps_q_shrunk, epsilon(res.q, n, delta))
     return VerificationReport(
         claim="neighborhood_membership",
         conditions=conditions,
@@ -337,38 +317,16 @@ def verify_neighborhood(
 # ---------------------------------------------------------------------------
 
 
-def _run_trials(total: int, fn, out: np.ndarray, workers: int) -> None:
-    """Fill ``out[t] = fn(t)``; chunked across threads, reduced by index."""
-    if workers <= 1:
-        for t in range(total):
-            out[t] = fn(t)
-        return
-
-    def run_chunk(bounds):
-        lo, hi = bounds
-        for t in range(lo, hi):
-            out[t] = fn(t)
-
-    step = -(-total // workers)
-    chunks = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(run_chunk, chunks))
-
-
-def bench_mom(p: AtomicDistribution, cfg: TrialConfig, workers: int = 1) -> dict:
+def bench_mom(p: AtomicDistribution, cfg: TrialConfig) -> dict:
     """Measure how often the median-of-means misses its error budget
     ``|mu - mu*| + 3 sigma* sqrt(4.5 log(1/delta) / n)``; passes when the
     failure rate stays within ``delta`` plus a 3-sigma binomial half-width."""
     k = group_count(cfg.delta)
     if cfg.n < k:
         raise InsufficientSamplesError(k, cfg.n)
-    core = standard_trim(p, cfg.n, cfg.delta).trimmed
-    mu_p = mean(p)
-    bound = abs(mu_p - mean(core)) + 3.0 * math.sqrt(
-        variance(core)
-    ) * math.sqrt(4.5 * math.log(1.0 / cfg.delta) / cfg.n)
-
-    fails = np.zeros(cfg.trials, dtype=bool)
+    stats = core_stats(p, cfg.n, cfg.delta)
+    mu_p = stats.mu
+    bound = stats.gap + 3.0 * stats.sigma_star * stats.rate
 
     def one_trial(t: int) -> bool:
         stream = trial_stream(cfg.seed, t)
@@ -376,7 +334,7 @@ def bench_mom(p: AtomicDistribution, cfg: TrialConfig, workers: int = 1) -> dict
         est = median_of_means(batch, cfg.delta)
         return abs(est - mu_p) > bound
 
-    _run_trials(cfg.trials, one_trial, fails, workers)
+    fails = np.fromiter(map(one_trial, range(cfg.trials)), bool, cfg.trials)
     failure_rate = int(fails.sum()) / cfg.trials
     ci_halfwidth = 3.0 * math.sqrt(cfg.delta * (1.0 - cfg.delta) / cfg.trials)
     return {
@@ -399,26 +357,21 @@ def _log_ratio_tables(
     """Per-atom log-likelihood ratios log(q/p), aligned with each source's
     atoms.  Missing mass yields -inf (drawn only under p) or +inf (only
     under q)."""
-    p_masses = dict(zip(map(float, p.xs), map(float, p.ws)))
-    q_masses = dict(zip(map(float, q.xs), map(float, q.ws)))
-
-    def ratio(wq: float, wp: float) -> float:
-        if wq == 0.0:
-            return float("-inf")
-        if wp == 0.0:
-            return float("inf")
-        return math.log(wq / wp)
-
-    table_p = np.array([ratio(q_masses.get(float(x), 0.0), float(w)) for x, w in zip(p.xs, p.ws)])
-    table_q = np.array([ratio(float(w), p_masses.get(float(x), 0.0)) for x, w in zip(q.xs, q.ws)])
-    return table_p, table_q
+    _, wp, wq = align(p, q)
+    # math.log, not np.log: they differ in the last bit on some inputs.
+    table = np.array(
+        [
+            -math.inf if mq == 0.0 else math.inf if mp == 0.0 else math.log(mq / mp)
+            for mp, mq in zip(wp.tolist(), wq.tolist())
+        ]
+    )
+    return table[wp > 0.0], table[wq > 0.0]
 
 
 def lr_test_error(
     p: AtomicDistribution,
     q: AtomicDistribution,
     cfg: TrialConfig,
-    workers: int = 1,
 ) -> dict:
     """Equal-prior error of the likelihood-ratio test between ``p`` and ``q``.
 
@@ -443,8 +396,6 @@ def lr_test_error(
     cum_q = np.cumsum(q.ws)
     cum_q[-1] = 1.0
 
-    wrong = np.zeros(cfg.trials, dtype=bool)
-
     def one_trial(t: int) -> bool:
         from_p = t < half
         cum, table = (cum_p, table_p) if from_p else (cum_q, table_q)
@@ -457,7 +408,7 @@ def lr_test_error(
             decide_q = lam > 0.0
         return decide_q if from_p else not decide_q
 
-    _run_trials(cfg.trials, one_trial, wrong, workers)
+    wrong = np.fromiter(map(one_trial, range(cfg.trials)), bool, cfg.trials)
     type_i = int(wrong[:half].sum()) / half
     type_ii = int(wrong[half:].sum()) / half
     empirical_error = 0.5 * (type_i + type_ii)

@@ -5,8 +5,8 @@ Grid: the six corpus members, n in {1e3, 1e4, 1e5}, delta in
 {0.05, 0.01, 0.001}, restricted to log(1/delta)/n <= 0.01.
 """
 
+import functools
 import itertools
-import json
 import math
 
 import numpy as np
@@ -22,8 +22,11 @@ from advmean import (
     construct_q,
     hellinger_sq,
     lr_test_error,
+    median_of_means,
+    sample,
     skew_measures,
     standard_trim,
+    trial_stream,
     trim,
     verify_neighborhood,
     verify_theorem,
@@ -101,9 +104,10 @@ BENCH_CFG = TrialConfig(n=1400, delta=0.05, trials=20000, seed=0)
 LR_CFG = TrialConfig(n=1000, delta=0.05, trials=20000, seed=0)
 
 
-def _bench_reports(workers=1):
+@functools.cache
+def _bench_reports():
     return {
-        name: bench_mom(MEMBERS[name], BENCH_CFG, workers=workers)
+        name: bench_mom(MEMBERS[name], BENCH_CFG)
         for name in ("two_point_symmetric", "pareto_15")
     }
 
@@ -116,12 +120,17 @@ def test_criterion_4_median_of_means_failure_rate():
     report(4, "median-of-means failure rate", ok, f"rates={rates}, limit={limit:.4f}")
 
 
-def _lr_reports(workers=1):
-    out = {}
-    for name, d in MEMBERS.items():
-        q = construct_q(d, LR_CFG.n, LR_CFG.delta).q
-        out[name] = lr_test_error(d, q, LR_CFG, workers=workers)
-    return out
+@functools.cache
+def _lr_pairs():
+    return {
+        name: (d, construct_q(d, LR_CFG.n, LR_CFG.delta).q)
+        for name, d in MEMBERS.items()
+    }
+
+
+@functools.cache
+def _lr_reports():
+    return {name: lr_test_error(p, q, LR_CFG) for name, (p, q) in _lr_pairs().items()}
 
 
 def test_criterion_5_lr_test_floor():
@@ -207,10 +216,66 @@ def test_criterion_8_structural_identities():
     report(8, "structural identities", not problems, f"problems={problems[:4]}")
 
 
-def test_criterion_9_determinism_across_workers():
-    bench_solo = json.dumps(_bench_reports(workers=1), sort_keys=True)
-    bench_pool = json.dumps(_bench_reports(workers=8), sort_keys=True)
-    lr_solo = json.dumps(_lr_reports(workers=1), sort_keys=True)
-    lr_pool = json.dumps(_lr_reports(workers=8), sort_keys=True)
-    ok = bench_solo == bench_pool and lr_solo == lr_pool
-    report(9, "byte-identical reports across workers", ok)
+def _mom_fails_reversed(p, cfg, mu_p, bound):
+    """Each trial's miss, recomputed on its own stream, last trial first."""
+    fails = []
+    for t in reversed(range(cfg.trials)):
+        est = median_of_means(sample(p, cfg.n, trial_stream(cfg.seed, t)), cfg.delta)
+        fails.append(abs(est - mu_p) > bound)
+    return fails
+
+
+def _log_ratio(wp, wq):
+    if wq == 0.0:
+        return -math.inf
+    if wp == 0.0:
+        return math.inf
+    return math.log(wq / wp)
+
+
+def _lr_wrong_reversed(p, q, cfg):
+    """Reference LR test, recomputed last trial first: the first half of the
+    trials draws from p, the rest from q, and each draw contributes the log
+    ratio of the two masses at its position."""
+    mass_p = dict(zip(p.xs.tolist(), p.ws.tolist()))
+    mass_q = dict(zip(q.xs.tolist(), q.ws.tolist()))
+    table_p, table_q = (
+        np.array([_log_ratio(mass_p.get(x, 0.0), mass_q.get(x, 0.0)) for x in d.xs.tolist()])
+        for d in (p, q)
+    )
+    wrong = []
+    for t in reversed(range(cfg.trials)):
+        from_p = t < cfg.trials // 2
+        source, table = (p, table_p) if from_p else (q, table_q)
+        stream = trial_stream(cfg.seed, t)
+        draws = sample(source, cfg.n, stream).values
+        terms = table[np.searchsorted(source.xs, draws)]
+        if np.all(np.isfinite(terms)):
+            lam = math.fsum(terms.tolist())
+        else:
+            lam = float(np.sum(terms))
+        decide_q = stream.random() < 0.5 if lam == 0.0 else lam > 0.0
+        wrong.append(decide_q if from_p else not decide_q)
+    return wrong[::-1]
+
+
+def test_criterion_9_trial_outcomes_depend_only_on_seed_and_index():
+    # Every trial of the criterion-4 and criterion-5 reports is recomputed on
+    # its own, last trial first; the rates must match the reports exactly.
+    mismatches = []
+    for name, rep in _bench_reports().items():
+        fails = _mom_fails_reversed(MEMBERS[name], BENCH_CFG, rep["mu_p"], rep["bound"])
+        if sum(fails) / BENCH_CFG.trials != rep["failure_rate"]:
+            mismatches.append(("bench_mom", name))
+    half = LR_CFG.trials // 2
+    for name, rep in _lr_reports().items():
+        wrong = _lr_wrong_reversed(*_lr_pairs()[name], LR_CFG)
+        rates = (sum(wrong[:half]) / half, sum(wrong[half:]) / half)
+        if rates != (rep["type_i"], rep["type_ii"]):
+            mismatches.append(("lr_test_error", name))
+    report(
+        9,
+        "trial outcomes depend only on (seed, trial)",
+        not mismatches,
+        f"mismatches={mismatches}",
+    )

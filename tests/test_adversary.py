@@ -17,7 +17,6 @@ from advmean import (
     scale,
     shift,
     skew_measures,
-    solve_skew,
     standard_trim,
     std,
     variance,
@@ -58,28 +57,31 @@ class TestMeanShift:
 
 
 class TestSolveSkew:
+    """The skew slope solved inside :func:`construct_q`."""
+
     def test_two_point_closed_form(self, two_point):
-        a = solve_skew(two_point, N, DELTA)
+        a = construct_q(two_point, N, DELTA).a
         assert a == pytest.approx((1 / 8) * math.sqrt(LOG_TERM / N), abs=1e-10)
 
     def test_larger_budget_closed_form(self, two_point):
-        a = solve_skew(two_point, 10**4, DELTA)
+        a = construct_q(two_point, 10**4, DELTA).a
         assert a == pytest.approx((1 / 8) * math.sqrt(LOG_TERM / 10**4), abs=1e-10)
 
     def test_residual_identity(self, two_point):
-        a = solve_skew(two_point, N, DELTA)
+        a = construct_q(two_point, N, DELTA).a
         core = standard_trim(two_point, N, DELTA).trimmed
         target = (1 / 8) * std(core) * math.sqrt(LOG_TERM / N)
         assert mean_shift(two_point, a) / target == pytest.approx(1.0, abs=1e-10)
 
     def test_rejects_dominant_mean_gap(self, asym_two_point):
-        with pytest.raises(DomainError):
-            solve_skew(asym_two_point, N, DELTA)
+        res = construct_q(asym_two_point, N, DELTA)
+        assert res.case is Case.LARGE_MEAN_SHIFT
+        assert res.a is None
 
     def test_degenerate_core(self):
         d = AtomicDistribution([-1.0, 0.0, 1.0], [0.0005, 0.999, 0.0005])
         with pytest.raises(DegenerateError):
-            solve_skew(d, N, DELTA)
+            construct_q(d, N, DELTA)
 
     @given(atomic_distributions(min_atoms=2))
     @settings(max_examples=100)
@@ -89,7 +91,7 @@ class TestSolveSkew:
         gap = abs(mean(d) - mean(core))
         assume(sigma_star > 0.0)
         assume(gap <= sigma_star * math.sqrt(4.5 * LOG_TERM / N))
-        a = solve_skew(d, N, DELTA)
+        a = construct_q(d, N, DELTA).a
         assert 0.0 < a <= math.sqrt(LOG_TERM / N) / sigma_star * (1 + 1e-12)
         target = (1 / 8) * sigma_star * math.sqrt(LOG_TERM / N)
         centered = shift(d, -mean(d))

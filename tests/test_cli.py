@@ -89,6 +89,20 @@ class TestVerify:
             "--override-regime",
         ) == 0
 
+    def test_out_of_regime_messages(self, two_point_file, capsys):
+        argv = ["verify", "--in", two_point_file, "--n", "100", "--delta", "0.3"]
+        assert run(*argv) == 3
+        assert capsys.readouterr().err == (
+            "error: (n=100, delta=0.3) is outside the asserted regime "
+            "(delta <= 0.1, log(1/delta)/n <= 0.01); rerun with "
+            "--override-regime to proceed without assertions\n"
+        )
+        assert run(*argv, "--override-regime") == 0
+        assert capsys.readouterr().err == (
+            "warning: outside the asserted regime; conditions are reported "
+            "but not enforced\n"
+        )
+
     def test_malformed_json_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"atoms": [{"x": 0.0, "w": }]}')
@@ -179,6 +193,26 @@ class TestBenchAndDistinguish:
             "--trials", "100", "--out", str(out),
         )
         assert json.loads(out.read_text())["seed"] == 11
+
+    def test_bad_env_seed(self, two_point_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("ADVMEAN_SEED", "abc")
+        assert run("gen", "--name", "two_point_symmetric") == 0
+        bench = ["bench-mom", "--in", two_point_file, "--n", "140", "--delta", "0.05",
+                 "--trials", "100"]
+        capsys.readouterr()
+        assert run(*bench) == 2
+        assert "ADVMEAN_SEED" in capsys.readouterr().err
+        assert run(*bench, "--seed", "3") == 0
+
+
+@pytest.mark.parametrize("sub", ["construct", "verify", "neighborhood"])
+def test_overflowing_moments_exit_two(sub, tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"atoms": [{"x": -1e300, "w": 0.5}, {"x": 1e300, "w": 0.5}]}')
+    assert run(sub, "--in", str(path), "--n", "1000", "--delta", "0.05") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: moments overflow float64")
+    assert "variance inf" in err
 
 
 class TestScanAndGen:

@@ -200,6 +200,18 @@ class TestMixture:
     def test_self_mixture_identity(self, d, lam):
         assert mixture(d, d, lam) == d
 
+    @given(
+        atomic_distributions(),
+        atomic_distributions(),
+        st.floats(min_value=0.01, max_value=0.99),
+    )
+    def test_matches_dict_reference(self, d1, d2, lam):
+        w1 = dict(zip(d1.xs.tolist(), d1.ws.tolist()))
+        w2 = dict(zip(d2.xs.tolist(), d2.ws.tolist()))
+        xs = sorted(set(w1) | set(w2))
+        ws = [w2.get(x, 0.0) + lam * (w1.get(x, 0.0) - w2.get(x, 0.0)) for x in xs]
+        assert mixture(d1, d2, lam) == AtomicDistribution(xs, ws)
+
 
 class TestReweight:
     def test_identity_weight(self, two_point):

@@ -9,12 +9,49 @@ from advmean import (
     DomainError,
     bhattacharyya,
     construct_q,
+    density_ratio,
     hellinger_sq,
     indistinguishable,
     skew_measures,
 )
 
 from conftest import atomic_distributions
+
+
+def merged_masses(p, q):
+    """Reference support alignment: a two-pointer merge of the sorted
+    supports, yielding (p-mass, q-mass) per union position."""
+    i = j = 0
+    while i < p.xs.size and j < q.xs.size:
+        if p.xs[i] == q.xs[j]:
+            yield float(p.ws[i]), float(q.ws[j])
+            i, j = i + 1, j + 1
+        elif p.xs[i] < q.xs[j]:
+            yield float(p.ws[i]), 0.0
+            i += 1
+        else:
+            yield 0.0, float(q.ws[j])
+            j += 1
+    yield from ((float(w), 0.0) for w in p.ws[i:])
+    yield from ((0.0, float(w)) for w in q.ws[j:])
+
+
+@given(atomic_distributions(), atomic_distributions())
+@settings(max_examples=200)
+def test_aligned_paths_match_merge_reference(p, q):
+    pairs = list(merged_masses(p, q))
+    h_ref = 0.5 * math.fsum((math.sqrt(a) - math.sqrt(b)) ** 2 for a, b in pairs)
+    bc_ref = math.fsum(math.sqrt(a * b) for a, b in pairs if a and b)
+    assert hellinger_sq(p, q) == h_ref
+    assert bhattacharyya(p, q) == bc_ref
+    ratios = [b / a for a, b in pairs if a]
+    rep = density_ratio(q, p)
+    assert rep.ratios.tolist() == ratios
+    if all(a for a, _ in pairs):
+        assert rep.sup_ratio == max(ratios) and rep.offending is None
+    else:
+        assert rep.sup_ratio == math.inf
+        assert rep.offending == min(set(q.xs.tolist()) - set(p.xs.tolist()))
 
 
 class TestHellinger:
