@@ -10,20 +10,15 @@ from .adversary import (
     Sign,
     construct_q,
     density_ratio,
-    mean_shift,
     regime_flags,
-    skew_measures,
 )
 from .distribution import (
     AtomicDistribution,
     TrimResult,
-    WeightedMeasure,
     epsilon,
     load_distribution,
     mean,
     mixture,
-    normalize,
-    reweight,
     save_distribution,
     scale,
     shift,
@@ -46,7 +41,6 @@ from .harness import (
     VerificationReport,
     asymptotic_scan,
     bench_mom,
-    brute_force_trim,
     lr_test_error,
     sample,
     trial_stream,

@@ -11,11 +11,12 @@ Two cases, split on which term of the error bound dominates:
 - Large mean gap (``|mu_p - mu_star| > sigma_star * sqrt(4.5 L / n)`` with
   ``L = log(1/delta)``): ``q`` mixes ``p`` with its trimmed core at weight
   3/4, pulling the mean a quarter of the way toward the core's.
-- Small mean gap (otherwise): ``q`` reweights ``p`` by the skew factor
-  ``1 + clamp(±a (x - mu_p), -1, 1)``.  The slope ``a`` is chosen by
-  bisection so the first-moment shift of the skewed measure equals
-  ``sigma_star * sqrt(L / n) / 8``; the shifted measure with mass >= 1 is
-  selected and rescaled to unit mass by a factor ``b in [1/2, 1]``.
+- Small mean gap (otherwise): ``q`` reweights ``p``'s atoms by the skew
+  factor ``1 + clamp(±a (x - mu_p), -1, 1)``.  The slope ``a`` is chosen by
+  bisection so the first-moment shift of the skewed masses equals
+  ``sigma_star * sqrt(L / n) / 8``.  The two signs give masses summing to 2;
+  the heavier (the plus sign on a tie) is kept and rescaled to unit mass by
+  ``b = 1 / mass in [1/2, 1]``.
 
 Quantitative guarantees are only asserted downstream inside the
 small-parameter regime ``delta <= REGIME_DELTA_MAX`` and
@@ -34,17 +35,14 @@ import numpy as np
 from .distribution import (
     AtomicDistribution,
     CoreStats,
-    WeightedMeasure,
     align,
+    check_budget,
     core_stats,
     mean,
     mixture,
-    normalize,
-    reweight,
-    shift,
 )
 from .divergence import hellinger_sq
-from .errors import DegenerateError, DomainError, RegimeError
+from .errors import DegenerateError, RegimeError
 
 REGIME_DELTA_MAX = 0.1
 REGIME_RATIO_MAX = 0.01
@@ -53,8 +51,6 @@ REGIME_RATIO_MAX = 0.01
 MEAN_SHIFT_TARGET_COEFF = 1.0 / 8.0
 BISECT_MAX_ITER = 200
 BISECT_RTOL = 1e-10
-
-_CENTER_TOL = 1e-10
 
 
 class Case(Enum):
@@ -83,10 +79,7 @@ class RegimeFlags:
 
 
 def regime_flags(n: float, delta: float) -> RegimeFlags:
-    if not 0.0 < delta < 1.0:
-        raise DomainError(f"failure probability must lie in (0, 1), got {delta!r}")
-    if not n > 0:
-        raise DomainError(f"sample count must be positive, got {n!r}")
+    check_budget(n, delta)
     return RegimeFlags(
         delta_ok=delta <= REGIME_DELTA_MAX,
         ratio_ok=math.log(1.0 / delta) / n <= REGIME_RATIO_MAX,
@@ -157,52 +150,42 @@ class AdversaryResult:
         }
 
 
-def _clamped_shift(xs: np.ndarray, ws: np.ndarray, a: float) -> float:
-    clamped = np.clip(a * xs, -1.0, 1.0)
-    return math.fsum((ws * xs * clamped).tolist())
-
-
-def mean_shift(p_centered: AtomicDistribution, a: float) -> float:
-    """First-moment shift produced by the skew weight ``1 + clamp(a x)`` on a
-    mean-zero distribution: ``sum_i w_i x_i clamp(a x_i, -1, 1)``.
+def _clamped_shift(dev: np.ndarray, ws: np.ndarray, a: float) -> float:
+    """First-moment shift ``sum_i w_i d_i clamp(a d_i, -1, 1)`` of the skew
+    weight on deviations ``d_i = x_i - mu``.
 
     Nondecreasing and continuous in ``a``, strictly increasing while any atom
     is unclamped; 0 in the limit ``a -> 0``.
     """
-    if not a > 0.0:
-        raise DomainError(f"skew slope must be positive, got {a!r}")
-    span = max(1.0, float(np.abs(p_centered.xs).max()))
-    mu = mean(p_centered)
-    if abs(mu) > _CENTER_TOL * span:
-        raise DomainError(f"distribution is not centered (mean {mu!r})")
-    return _clamped_shift(p_centered.xs, p_centered.ws, a)
+    clamped = np.clip(a * dev, -1.0, 1.0)
+    return math.fsum((ws * dev * clamped).tolist())
 
 
 def _bisect_skew(
-    centered: AtomicDistribution, target: float, a_hi: float
+    dev: np.ndarray, ws: np.ndarray, target: float, a_hi: float
 ) -> tuple[float, bool]:
-    """Solve ``shift(a) == target`` for ``a in (0, a_hi]`` by bisection.
+    """Solve ``_clamped_shift(dev, ws, a) == target`` for ``a in (0, a_hi]``
+    by bisection.
 
-    The shift is bounded above by ``a * E[x^2]``, so ``target / E[x^2]`` is a
+    The shift is bounded above by ``a * E[d^2]``, so ``target / E[d^2]`` is a
     valid lower bracket; when no atom is clamped the bound is an equality and
     the solve finishes immediately.  Returns ``(a_hi, True)`` if even the
     upper endpoint falls short, which cannot happen in-regime.
     """
-    xs, ws = centered.xs, centered.ws
-    second = math.fsum((ws * xs * xs).tolist())
+    second = math.fsum((ws * dev * dev).tolist())
     tol = BISECT_RTOL * target
 
-    if _clamped_shift(xs, ws, a_hi) < target - tol:
+    if _clamped_shift(dev, ws, a_hi) < target - tol:
         return a_hi, True
 
     lo = min(max(target / second, 5e-324), a_hi)
-    value = _clamped_shift(xs, ws, lo)
+    value = _clamped_shift(dev, ws, lo)
     if abs(value - target) <= tol:
         return lo, False
     hi = a_hi
     for _ in range(BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        value = _clamped_shift(xs, ws, mid)
+        value = _clamped_shift(dev, ws, mid)
         if abs(value - target) <= tol:
             return mid, False
         if value < target:
@@ -265,13 +248,19 @@ def construct_q(p: AtomicDistribution, n: float, delta: float) -> AdversaryResul
             )
         root = math.sqrt(math.log(1.0 / delta) / n)
         target = MEAN_SHIFT_TARGET_COEFF * stats.sigma_star * root
-        a, saturated = _bisect_skew(shift(p, -stats.mu), target, root / stats.sigma_star)
-        plus, minus = skew_measures(p, a)
-        if plus.total_mass >= minus.total_mass:
-            sign, chosen = Sign.PLUS, plus
+        # Positions stay p's own, bitwise, as the support-sensitive ratio and
+        # Hellinger checks require; only the masses are reweighted.
+        dev = p.xs - stats.mu
+        a, saturated = _bisect_skew(dev, p.ws, target, root / stats.sigma_star)
+        clamp = np.clip(a * dev, -1.0, 1.0)
+        plus, minus = p.ws * (1.0 + clamp), p.ws * (1.0 - clamp)
+        mass_plus, mass_minus = math.fsum(plus.tolist()), math.fsum(minus.tolist())
+        if mass_plus >= mass_minus:
+            sign, ws, mass = Sign.PLUS, plus, mass_plus
         else:
-            sign, chosen = Sign.MINUS, minus
-        q, b = normalize(chosen)
+            sign, ws, mass = Sign.MINUS, minus, mass_minus
+        keep = ws > 0.0
+        q, b = AtomicDistribution(p.xs[keep], ws[keep] / mass), 1.0 / mass
 
     return AdversaryResult(
         q=q,
@@ -286,17 +275,3 @@ def construct_q(p: AtomicDistribution, n: float, delta: float) -> AdversaryResul
         saturated=saturated,
     )
 
-
-def skew_measures(
-    p: AtomicDistribution, a: float
-) -> tuple[WeightedMeasure, WeightedMeasure]:
-    """The raw skewed measures (positive and negative slope) around ``p``'s
-    mean, before selection and rescaling; their total masses sum to 2.
-
-    The weights take the centered argument but reweight ``p``'s own atoms,
-    which keeps positions bitwise identical to ``p``'s, as the
-    support-sensitive ratio and Hellinger checks require."""
-    mu = mean(p)
-    plus = reweight(p, lambda x: 1.0 + min(1.0, max(-1.0, a * (x - mu))))
-    minus = reweight(p, lambda x: 1.0 + min(1.0, max(-1.0, -a * (x - mu))))
-    return plus, minus

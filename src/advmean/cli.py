@@ -78,7 +78,7 @@ def _load(path: str):
             EXIT_USAGE,
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}",
         ) from exc
-    except (OSError, DomainError) as exc:
+    except (OSError, ValueError) as exc:  # DomainError, or an over-long integer
         raise _CliError(EXIT_USAGE, f"{path}: {exc}") from exc
 
 

@@ -1,18 +1,16 @@
 """The benchmark corpus: six distributions spanning both construction cases
 and both tail regimes (finite and effectively infinite parent variance).
 
-Builders are closed-form and deterministic; the same distributions ship as
-JSON files under ``advmean/data`` and the two must agree bitwise (enforced by
-a test).  Symmetric members are built from mirrored offsets so their means
-are exactly zero.
+Builders are closed-form and deterministic; ``advmean gen`` writes any
+member as a JSON file.  Symmetric members are built from mirrored offsets so
+their means are exactly zero.
 """
 
 from __future__ import annotations
 
 import math
-from importlib import resources
 
-from .distribution import AtomicDistribution, distribution_from_dict
+from .distribution import AtomicDistribution
 from .errors import DomainError
 
 
@@ -104,18 +102,6 @@ def build(name: str) -> AtomicDistribution:
         raise DomainError(
             f"unknown corpus member {name!r}; choose from {sorted(BUILDERS)}"
         ) from None
-
-
-def load(name: str) -> AtomicDistribution:
-    """Load a corpus member from the packaged data files."""
-    if name not in BUILDERS:
-        raise DomainError(
-            f"unknown corpus member {name!r}; choose from {sorted(BUILDERS)}"
-        )
-    path = resources.files("advmean").joinpath(f"data/{name}.json")
-    import json
-
-    return distribution_from_dict(json.loads(path.read_text(encoding="utf-8")))
 
 
 def all_members() -> dict[str, AtomicDistribution]:

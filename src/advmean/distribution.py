@@ -2,11 +2,10 @@
 
 Everything downstream works with probability measures supported on finitely
 many points, so every integral is a finite sum and every density ratio is a
-per-atom mass ratio.  This module provides the two value types
-(:class:`AtomicDistribution` for unit mass, :class:`WeightedMeasure` for
-arbitrary positive mass), moments, the radial trimming operation, the
-trimmed-core statistics and error bound, support alignment, mixing,
-pointwise reweighting, affine maps, and the JSON file format used by the CLI.
+per-atom mass ratio.  This module provides the value type
+(:class:`AtomicDistribution`), moments, the radial trimming operation, the
+trimmed-core statistics and error bound, support alignment, mixing, affine
+maps, and the JSON file format used by the CLI.
 
 Numerical conventions
 ---------------------
@@ -26,12 +25,14 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
+import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
-from .errors import DegenerateError, DomainError
+from .errors import DomainError
 
 MASS_TOL = 1e-12
 LOAD_MASS_TOL = 1e-9
@@ -112,41 +113,6 @@ class AtomicDistribution:
         return f"AtomicDistribution({self.atoms!r})"
 
 
-@dataclass(frozen=True, eq=False)
-class WeightedMeasure:
-    """Like :class:`AtomicDistribution` but with arbitrary total mass.
-
-    May be empty (``total_mass == 0``), in which case it is degenerate and
-    cannot be normalized.
-    """
-
-    xs: np.ndarray
-    ws: np.ndarray
-    total_mass: float
-
-    def __init__(self, xs, ws):
-        xs, ws = _prepare_atoms(xs, ws)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ws", ws)
-        object.__setattr__(self, "total_mass", _fsum(ws.tolist()))
-
-    @property
-    def num_atoms(self) -> int:
-        return int(self.xs.size)
-
-    @property
-    def is_degenerate(self) -> bool:
-        return self.num_atoms == 0 or self.total_mass <= 0.0
-
-    def scaled(self, factor: float) -> "WeightedMeasure":
-        if factor <= 0.0:
-            raise DomainError("scaling factor must be positive")
-        return WeightedMeasure(self.xs, self.ws * factor)
-
-    def __repr__(self) -> str:
-        return f"WeightedMeasure(atoms={self.xs.size}, total_mass={self.total_mass!r})"
-
-
 @dataclass(frozen=True)
 class TrimResult:
     """Outcome of radial trimming.
@@ -162,7 +128,7 @@ class TrimResult:
     trimmed_mass: float
 
 
-def mean(d: AtomicDistribution | WeightedMeasure) -> float:
+def mean(d: AtomicDistribution) -> float:
     """First moment, exactly rounded."""
     return _fsum((d.ws * d.xs).tolist())
 
@@ -219,16 +185,25 @@ def trim(d: AtomicDistribution, t: float) -> TrimResult:
     return TrimResult(trimmed, radius, kept_fractions, float(t))
 
 
+def check_budget(n: float, delta: float) -> None:
+    """Reject a sample budget outside ``0 < n <= float64 max``,
+    ``0 < delta < 1``; a larger integer ``n`` has no float64 value."""
+    if not 0 < n <= sys.float_info.max:
+        raise DomainError(
+            f"sample count must be positive and at most {sys.float_info.max!r}, "
+            f"got {n!r}"
+        )
+    if not 0.0 < delta < 1.0:
+        raise DomainError(f"failure probability must lie in (0, 1), got {delta!r}")
+
+
 def trim_fraction(n: float, delta: float) -> float:
     """The standard trimmed mass ``TRIM_COEFF * log(1/delta) / n``.
 
     ``n`` may be any positive real; fractional values arise when the error
     bound is evaluated at a scaled-down sample count.
     """
-    if not n > 0:
-        raise DomainError(f"sample count must be positive, got {n!r}")
-    if not 0.0 < delta < 1.0:
-        raise DomainError(f"failure probability must lie in (0, 1), got {delta!r}")
+    check_budget(n, delta)
     return TRIM_COEFF * math.log(1.0 / delta) / n
 
 
@@ -301,7 +276,7 @@ def epsilon(d: AtomicDistribution, n: float, delta: float) -> float:
 
 
 def align(
-    p: AtomicDistribution | WeightedMeasure, q: AtomicDistribution | WeightedMeasure
+    p: AtomicDistribution, q: AtomicDistribution
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Both measures' masses on the sorted union of their supports.
 
@@ -335,32 +310,6 @@ def mixture(
     return AtomicDistribution(xs, w2 + lam * (w1 - w2))
 
 
-def reweight(
-    d: AtomicDistribution, f: Callable[[float], float]
-) -> WeightedMeasure:
-    """Multiply each atom's mass by ``f(position)``; ``f`` must be
-    nonnegative and finite on the support.  Zero-mass atoms are dropped, so
-    the result may be empty (degenerate)."""
-    factors = np.array([float(f(float(x))) for x in d.xs])
-    if not np.all(np.isfinite(factors)):
-        raise DomainError("weight function produced a non-finite value")
-    if np.any(factors < 0.0):
-        bad = float(d.xs[factors < 0.0][0])
-        raise DomainError(f"weight function is negative at x={bad!r}")
-    ws = d.ws * factors
-    mask = ws > 0.0
-    return WeightedMeasure(d.xs[mask], ws[mask])
-
-
-def normalize(m: WeightedMeasure) -> tuple[AtomicDistribution, float]:
-    """Rescale to unit mass; returns the distribution and the factor
-    ``b = 1 / total_mass`` applied."""
-    if m.is_degenerate:
-        raise DegenerateError("cannot normalize a zero-mass measure")
-    b = 1.0 / m.total_mass
-    return AtomicDistribution(m.xs, m.ws / m.total_mass), b
-
-
 def shift(d: AtomicDistribution, c: float) -> AtomicDistribution:
     """Translate every position by ``c``."""
     if not math.isfinite(c):
@@ -382,6 +331,17 @@ def scale(d: AtomicDistribution, s: float) -> AtomicDistribution:
 # ---------------------------------------------------------------------------
 
 
+def _unconvertible(entries) -> tuple[str, object]:
+    """The first atom field, as ``(key, value)``, that ``float`` rejects, in
+    the order :func:`distribution_from_dict` converts them."""
+    for key in ("x", "w"):
+        for entry in entries:
+            try:
+                float(entry[key])
+            except (ValueError, OverflowError):
+                return key, entry[key]
+
+
 def distribution_from_dict(payload: dict) -> AtomicDistribution:
     try:
         entries = payload["atoms"]
@@ -389,6 +349,12 @@ def distribution_from_dict(payload: dict) -> AtomicDistribution:
         ws = [float(entry["w"]) for entry in entries]
     except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed distribution payload: {exc}") from exc
+    except (ValueError, OverflowError):
+        # searched for only after a failure, so the conversion loop stays lean
+        key, value = _unconvertible(entries)
+        raise DomainError(
+            f"atom field {key!r} has no float64 value: {reprlib.repr(value)}"
+        ) from None
     if not xs:
         raise DomainError("distribution file holds no atoms")
     xs_arr, ws_arr = _prepare_atoms(xs, ws)

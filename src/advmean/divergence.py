@@ -3,9 +3,7 @@ sample-complexity indistinguishability predicate.
 
 Positions are matched exactly: two measures share support only where their
 atom positions are equal under ``==``.  Distributions meant to share support
-must therefore be built on a common grid.  Both functions accept unit
-distributions and non-unit measures; for non-unit measures the squared
-Hellinger value may exceed 1 (extended definition).
+must therefore be built on a common grid.
 """
 
 from __future__ import annotations
@@ -15,10 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import AtomicDistribution, WeightedMeasure, align
+from .distribution import AtomicDistribution, align
 from .errors import DomainError
-
-Measure = AtomicDistribution | WeightedMeasure
 
 
 @dataclass(frozen=True)
@@ -44,7 +40,7 @@ class HellingerReport:
         }
 
 
-def hellinger_sq(p: Measure, q: Measure) -> float:
+def hellinger_sq(p: AtomicDistribution, q: AtomicDistribution) -> float:
     """``0.5 * sum((sqrt(p_i) - sqrt(q_i))^2)`` over the union support."""
     _, wp, wq = align(p, q)
     # Python's ``**`` (libm pow) rather than numpy's square, which rounds
@@ -53,9 +49,9 @@ def hellinger_sq(p: Measure, q: Measure) -> float:
     return 0.5 * math.fsum([d ** 2 for d in diffs])
 
 
-def bhattacharyya(p: Measure, q: Measure) -> float:
+def bhattacharyya(p: AtomicDistribution, q: AtomicDistribution) -> float:
     """``sum(sqrt(p_i * q_i))`` over the shared positions; equals
-    ``1 - hellinger_sq`` for unit inputs."""
+    ``1 - hellinger_sq``."""
     _, wp, wq = align(p, q)
     shared = (wp > 0.0) & (wq > 0.0)
     return math.fsum(np.sqrt(wp[shared] * wq[shared]).tolist())
@@ -78,7 +74,7 @@ def hellinger_report(h_sq: float, n: float, delta: float) -> HellingerReport:
 
 
 def indistinguishable(
-    p: Measure, q: Measure, n: int, delta: float
+    p: AtomicDistribution, q: AtomicDistribution, n: int, delta: float
 ) -> HellingerReport:
     """Decide whether no n-sample test can separate ``p`` from ``q`` with
     failure probability ``delta``.

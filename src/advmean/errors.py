@@ -6,8 +6,8 @@ class DomainError(ValueError):
 
 
 class DegenerateError(ValueError):
-    """The input admits no meaningful result (zero-mass measure, single-atom
-    input, or a point-mass trimmed core with no mean gap)."""
+    """The input admits no meaningful result (single-atom input, or a
+    point-mass trimmed core with no mean gap)."""
 
 
 class RegimeError(ValueError):

@@ -1,5 +1,5 @@
-"""Experiment harness: seeded sampling, brute-force oracles, claim
-verifiers, and Monte-Carlo benchmarks.
+"""Experiment harness: seeded sampling, claim verifiers, and Monte-Carlo
+benchmarks.
 
 Randomness contract
 -------------------
@@ -21,7 +21,6 @@ from .adversary import RegimeFlags, construct_q, pair_diagnostics, require_regim
 from .distribution import (
     AtomicDistribution,
     CoreStats,
-    TrimResult,
     align,
     core_stats,
     epsilon,
@@ -137,47 +136,6 @@ def sample(
     u = stream.random(count)
     idx = np.searchsorted(cum, u, side="right")
     return SampleBatch(d.xs[idx])
-
-
-# ---------------------------------------------------------------------------
-# Brute-force trimming oracle
-# ---------------------------------------------------------------------------
-
-
-def brute_force_trim(d: AtomicDistribution, t: float) -> TrimResult:
-    """Reference trimming by exhaustive radius scan; small instances only.
-
-    Enumerates every distinct atom distance from the mean, takes the first
-    whose kept mass reaches ``1 - t`` by linear scan, and applies the same
-    common-fraction boundary rule as the production path.
-    """
-    if d.num_atoms > 64:
-        raise DomainError("oracle accepts at most 64 atoms")
-    if not 0.0 <= t < 1.0:
-        raise DomainError(f"trim fraction must lie in [0, 1), got {t!r}")
-    atoms = d.atoms
-    mu = math.fsum(w * x for x, w in atoms)
-    dists = [abs(x - mu) for x, _ in atoms]
-    if t == 0.0:
-        return TrimResult(d, max(dists), np.ones(len(atoms)), 0.0)
-    target = 1.0 - t
-    radius = None
-    for cand in sorted(set(dists)):
-        kept = math.fsum(w for (x, w), dd in zip(atoms, dists) if dd <= cand)
-        if kept >= target:
-            radius = cand
-            break
-    if radius is None:
-        radius = max(dists)
-    inside_mass = math.fsum(w for (x, w), dd in zip(atoms, dists) if dd < radius)
-    boundary_mass = math.fsum(w for (x, w), dd in zip(atoms, dists) if dd == radius)
-    frac = min(max((target - inside_mass) / boundary_mass, 0.0), 1.0)
-    fractions = [1.0 if dd < radius else frac if dd == radius else 0.0 for dd in dists]
-    kept_atoms = [
-        (x, w * f / target) for (x, w), f in zip(atoms, fractions) if w * f > 0.0
-    ]
-    trimmed = AtomicDistribution([x for x, _ in kept_atoms], [w for _, w in kept_atoms])
-    return TrimResult(trimmed, radius, np.array(fractions), float(t))
 
 
 # ---------------------------------------------------------------------------
@@ -433,16 +391,15 @@ def asymptotic_scan(
 ) -> list[dict]:
     """Tabulate the error bound and its normalized form
     ``epsilon * sqrt(n / log(1/delta))`` across sample counts."""
-    log_term = math.log(1.0 / delta)
     rows = []
     for n in n_list:
-        eps = epsilon(p, n, delta)
+        eps = epsilon(p, n, delta)  # validates (n, delta) before the log below
         rows.append(
             {
                 "n": n,
                 "delta": delta,
                 "epsilon": eps,
-                "normalized": eps * math.sqrt(n / log_term),
+                "normalized": eps * math.sqrt(n / math.log(1.0 / delta)),
             }
         )
     return rows

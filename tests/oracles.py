@@ -1,0 +1,70 @@
+"""Reference implementations used only as test oracles."""
+
+import math
+
+import numpy as np
+
+from advmean import AtomicDistribution, DomainError, Sign, TrimResult, mean
+
+
+def skew_masses(p: AtomicDistribution, a: float) -> tuple[list, list]:
+    """The plus and minus skewed masses on ``p``'s atoms, one atom at a time:
+    ``w * (1 + min(1, max(-1, ±a (x - mu))))`` around ``p``'s mean."""
+    mu = mean(p)
+    atoms = list(zip(p.xs.tolist(), p.ws.tolist()))
+
+    def side(slope):
+        return [w * (1.0 + min(1.0, max(-1.0, slope * (x - mu)))) for x, w in atoms]
+
+    return side(a), side(-a)
+
+
+def skew_partner(p: AtomicDistribution, a: float):
+    """The small-gap partner at slope ``a`` by the per-atom formula: the
+    heavier of the two skewed measures by ``fsum`` total (plus on a tie),
+    zero-mass atoms dropped, rescaled to unit mass.  Returns ``(q, b, sign)``."""
+    plus, minus = skew_masses(p, a)
+    total_plus, total_minus = math.fsum(plus), math.fsum(minus)
+    if total_plus >= total_minus:
+        sign, ws, total = Sign.PLUS, plus, total_plus
+    else:
+        sign, ws, total = Sign.MINUS, minus, total_minus
+    kept = [(x, w / total) for x, w in zip(p.xs.tolist(), ws) if w > 0.0]
+    q = AtomicDistribution([x for x, _ in kept], [w for _, w in kept])
+    return q, 1.0 / total, sign
+
+
+def brute_force_trim(d: AtomicDistribution, t: float) -> TrimResult:
+    """Reference trimming by exhaustive radius scan; small instances only.
+
+    Enumerates every distinct atom distance from the mean, takes the first
+    whose kept mass reaches ``1 - t`` by linear scan, and applies the same
+    common-fraction boundary rule as the production path.
+    """
+    if d.num_atoms > 64:
+        raise DomainError("oracle accepts at most 64 atoms")
+    if not 0.0 <= t < 1.0:
+        raise DomainError(f"trim fraction must lie in [0, 1), got {t!r}")
+    atoms = d.atoms
+    mu = math.fsum(w * x for x, w in atoms)
+    dists = [abs(x - mu) for x, _ in atoms]
+    if t == 0.0:
+        return TrimResult(d, max(dists), np.ones(len(atoms)), 0.0)
+    target = 1.0 - t
+    radius = None
+    for cand in sorted(set(dists)):
+        kept = math.fsum(w for (x, w), dd in zip(atoms, dists) if dd <= cand)
+        if kept >= target:
+            radius = cand
+            break
+    if radius is None:
+        radius = max(dists)
+    inside_mass = math.fsum(w for (x, w), dd in zip(atoms, dists) if dd < radius)
+    boundary_mass = math.fsum(w for (x, w), dd in zip(atoms, dists) if dd == radius)
+    frac = min(max((target - inside_mass) / boundary_mass, 0.0), 1.0)
+    fractions = [1.0 if dd < radius else frac if dd == radius else 0.0 for dd in dists]
+    kept_atoms = [
+        (x, w * f / target) for (x, w), f in zip(atoms, fractions) if w * f > 0.0
+    ]
+    trimmed = AtomicDistribution([x for x, _ in kept_atoms], [w for _, w in kept_atoms])
+    return TrimResult(trimmed, radius, np.array(fractions), float(t))

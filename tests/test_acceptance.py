@@ -18,13 +18,11 @@ from advmean import (
     asymptotic_scan,
     bench_mom,
     bhattacharyya,
-    brute_force_trim,
     construct_q,
     hellinger_sq,
     lr_test_error,
     median_of_means,
     sample,
-    skew_measures,
     standard_trim,
     trial_stream,
     trim,
@@ -32,6 +30,8 @@ from advmean import (
     verify_theorem,
 )
 from advmean import corpus
+
+from oracles import brute_force_trim, skew_masses
 
 N_GRID = [10**3, 10**4, 10**5]
 DELTA_GRID = [0.05, 0.01, 0.001]
@@ -181,9 +181,11 @@ def test_criterion_8_structural_identities():
     for (name, d), (n, delta) in itertools.product(MEMBERS.items(), grid()):
         res = construct_q(d, n, delta)
         if res.case is Case.SMALL_MEAN_SHIFT:
-            plus, minus = skew_measures(d, res.a)
-            if abs(plus.total_mass + minus.total_mass - 2.0) > 1e-12:
+            masses = [math.fsum(side) for side in skew_masses(d, res.a)]
+            if abs(sum(masses) - 2.0) > 1e-12:
                 problems.append(("mass-sum", name, n, delta))
+            if res.b != 1.0 / max(masses):
+                problems.append(("b-mass", name, n, delta))
             if not 0.5 - 1e-12 <= res.b <= 1.0 + 1e-12:
                 problems.append(("b-range", name, n, delta))
         else:

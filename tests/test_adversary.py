@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,24 +9,29 @@ from advmean import (
     AtomicDistribution,
     Case,
     DegenerateError,
-    DomainError,
     Sign,
     construct_q,
     density_ratio,
     mean,
-    mean_shift,
     scale,
     shift,
-    skew_measures,
     standard_trim,
     std,
     variance,
 )
+from advmean import corpus
+from advmean.adversary import _clamped_shift
 
 from conftest import atomic_distributions, symmetric_distributions
+from oracles import skew_masses, skew_partner
 
 N, DELTA = 1000, 0.05
 LOG_TERM = math.log(20.0)
+
+
+def mean_shift(d, a):
+    """First-moment shift of the skew weight at slope ``a`` around ``d``'s mean."""
+    return _clamped_shift(d.xs - mean(d), d.ws, a)
 
 
 class TestMeanShift:
@@ -39,20 +45,11 @@ class TestMeanShift:
     def test_saturated_regime(self, two_point):
         assert mean_shift(two_point, 3.0) == pytest.approx(1.0, rel=1e-15)
 
-    def test_rejects_nonpositive_slope(self, two_point):
-        with pytest.raises(DomainError):
-            mean_shift(two_point, 0.0)
-
-    def test_rejects_uncentered(self, asym_two_point):
-        with pytest.raises(DomainError):
-            mean_shift(asym_two_point, 0.5)
-
     @given(atomic_distributions(min_atoms=2))
     @settings(max_examples=150)
     def test_nondecreasing_in_slope(self, d):
-        centered = shift(d, -mean(d))
         grid = np.geomspace(1e-6, 10.0, 25)
-        values = [mean_shift(centered, float(a)) for a in grid]
+        values = [mean_shift(d, float(a)) for a in grid]
         assert all(lo <= hi + 1e-15 for lo, hi in zip(values, values[1:]))
 
 
@@ -94,8 +91,7 @@ class TestSolveSkew:
         a = construct_q(d, N, DELTA).a
         assert 0.0 < a <= math.sqrt(LOG_TERM / N) / sigma_star * (1 + 1e-12)
         target = (1 / 8) * sigma_star * math.sqrt(LOG_TERM / N)
-        centered = shift(d, -mean(d))
-        assert mean_shift(centered, a) == pytest.approx(target, rel=1e-9)
+        assert mean_shift(d, a) == pytest.approx(target, rel=1e-9)
 
 
 class TestConstructCase1:
@@ -233,8 +229,9 @@ class TestStructuralProperties:
     def test_skew_masses_sum_to_two(self, d):
         res = _case2_results(d)
         assume(res.case is Case.SMALL_MEAN_SHIFT)
-        plus, minus = skew_measures(d, res.a)
-        assert plus.total_mass + minus.total_mass == pytest.approx(2.0, abs=1e-12)
+        masses = [math.fsum(side) for side in skew_masses(d, res.a)]
+        assert sum(masses) == pytest.approx(2.0, abs=1e-12)
+        assert res.b == 1.0 / max(masses)
 
     @given(symmetric_distributions())
     @settings(max_examples=100)
@@ -250,3 +247,35 @@ class TestStructuralProperties:
         res = _case2_results(d)
         lhs = math.log1p(-res.diagnostics["hellinger_sq"])
         assert lhs >= math.log(4 * DELTA) / (2 * N) - 1e-12
+
+
+def assert_matches_per_atom_formula(d, res):
+    q, b, sign = skew_partner(d, res.a)
+    assert np.array_equal(res.q.xs, q.xs)
+    assert np.array_equal(res.q.ws, q.ws)
+    assert res.b == b
+    assert res.sign is sign
+
+
+class TestSkewStepMatchesPerAtomFormula:
+    """The array skew step in :func:`construct_q` reproduces the per-atom
+    formula bit for bit at the solved slope."""
+
+    @pytest.mark.parametrize("name", corpus.names())
+    def test_corpus_grid(self, name):
+        d = corpus.build(name)
+        grid = itertools.product([10**3, 10**4, 10**5], [0.05, 0.01, 0.001])
+        skew_cells = 0
+        for n, delta in grid:
+            res = construct_q(d, n, delta)
+            if res.case is Case.SMALL_MEAN_SHIFT:
+                assert_matches_per_atom_formula(d, res)
+                skew_cells += 1
+        assert skew_cells > 0  # every member takes the skew branch somewhere
+
+    @given(atomic_distributions(min_atoms=2))
+    @settings(max_examples=200)
+    def test_random_inputs(self, d):
+        res = _case2_results(d)
+        assume(res.case is Case.SMALL_MEAN_SHIFT)
+        assert_matches_per_atom_formula(d, res)

@@ -215,6 +215,42 @@ def test_overflowing_moments_exit_two(sub, tmp_path, capsys):
     assert "variance inf" in err
 
 
+HUGE = "9" * 400  # an integer with no float64 value
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["scan", "--delta", "0", "--n-list", "1000"], "got 0.0"),
+        (["scan", "--delta", "-0.5", "--n-list", "1000"], "got -0.5"),
+        (["scan", "--delta", "0.05", "--n-list", HUGE], f"got {HUGE}"),
+        (["verify", "--n", HUGE, "--delta", "0.05"], f"got {HUGE}"),
+        (["construct", "--n", HUGE, "--delta", "0.05"], f"got {HUGE}"),
+    ],
+    ids=["scan-delta-zero", "scan-delta-negative", "scan-huge-n", "verify-huge-n",
+         "construct-huge-n"],
+)
+def test_bad_numbers_exit_two(argv, named, two_point_file, capsys):
+    assert run(argv[0], "--in", two_point_file, *argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize(
+    "x, named",
+    [('"abc"', "has no float64 value: 'abc'"),
+     (HUGE, "has no float64 value: 9999"),
+     ("9" * 5000, "value has 5000 digits")],
+    ids=["string", "huge-int", "over-long-int"],
+)
+def test_unconvertible_atom_exit_two(x, named, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"atoms": [{"x": %s, "w": 1.0}]}' % x)
+    assert run("verify", "--in", str(path), "--n", "1000", "--delta", "0.05") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and named in err
+
+
 class TestScanAndGen:
     def test_scan_csv(self, two_point_file, tmp_path):
         out = tmp_path / "scan.csv"

@@ -8,13 +8,10 @@ import hypothesis.strategies as st
 
 from advmean import (
     AtomicDistribution,
-    DegenerateError,
     DomainError,
     epsilon,
     mean,
     mixture,
-    normalize,
-    reweight,
     scale,
     shift,
     standard_trim,
@@ -211,51 +208,6 @@ class TestMixture:
         xs = sorted(set(w1) | set(w2))
         ws = [w2.get(x, 0.0) + lam * (w1.get(x, 0.0) - w2.get(x, 0.0)) for x in xs]
         assert mixture(d1, d2, lam) == AtomicDistribution(xs, ws)
-
-
-class TestReweight:
-    def test_identity_weight(self, two_point):
-        m = reweight(two_point, lambda x: 1.0)
-        assert m.total_mass == 1.0
-        assert np.array_equal(m.xs, two_point.xs)
-
-    def test_clamp_inactive(self, two_point):
-        a = 0.5
-        m = reweight(two_point, lambda x: 1.0 + min(1.0, max(-1.0, a * x)))
-        assert m.ws.tolist() == [0.25, 0.75]
-        assert m.total_mass == 1.0
-
-    def test_annihilating_weight(self, two_point):
-        m = reweight(two_point, lambda x: 0.0)
-        assert m.is_degenerate
-        assert m.total_mass == 0.0
-        with pytest.raises(DegenerateError):
-            normalize(m)
-
-    def test_negative_weight_rejected(self, two_point):
-        with pytest.raises(DomainError):
-            reweight(two_point, lambda x: x)  # negative at -1
-
-
-class TestNormalize:
-    def test_unit_measure(self, two_point):
-        m = reweight(two_point, lambda x: 1.0)
-        d, b = normalize(m)
-        assert b == 1.0
-        assert d == two_point
-
-    def test_halving(self, two_point):
-        m = reweight(two_point, lambda x: 2.0)
-        d, b = normalize(m)
-        assert b == 0.5
-        assert d == two_point
-
-    def test_skewed_two_point_balances(self, two_point):
-        a = 0.5
-        m = reweight(two_point, lambda x: 1.0 + min(1.0, max(-1.0, a * x)))
-        d, b = normalize(m)
-        assert b == 1.0
-        assert d.ws.tolist() == [0.25, 0.75]
 
 
 class TestAffine:
