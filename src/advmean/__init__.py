@@ -34,7 +34,7 @@ from .errors import (
     InsufficientSamplesError,
     RegimeError,
 )
-from .estimators import SampleBatch, group_count, median_of_means, sample_mean
+from .estimators import group_count, median_of_means, sample_mean
 from .harness import (
     Condition,
     TrialConfig,

@@ -26,7 +26,7 @@ from pathlib import Path
 from . import corpus
 from .adversary import RegimeFlags, construct_q, require_regime
 from .distribution import distribution_to_dict, load_distribution
-from .errors import DegenerateError, DomainError, InsufficientSamplesError, RegimeError
+from .errors import DegenerateError, DomainError, RegimeError
 from .harness import (
     TrialConfig,
     VerificationReport,
@@ -64,22 +64,15 @@ def _csv_text(rows: list[dict], columns: list[str]) -> str:
     return buf.getvalue()
 
 
-class _CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-
-
 def _load(path: str):
     try:
         return load_distribution(path)
     except json.JSONDecodeError as exc:
-        raise _CliError(
-            EXIT_USAGE,
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}",
+        raise DomainError(
+            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
     except (OSError, ValueError) as exc:  # DomainError, or an over-long integer
-        raise _CliError(EXIT_USAGE, f"{path}: {exc}") from exc
+        raise DomainError(f"{path}: {exc}") from exc
 
 
 def _regime(args) -> RegimeFlags:
@@ -100,9 +93,7 @@ def _trial_config(args) -> TrialConfig:
         try:
             seed = int(raw)
         except ValueError:
-            raise _CliError(
-                EXIT_USAGE, f"ADVMEAN_SEED must be an integer, got {raw!r}"
-            ) from None
+            raise DomainError(f"ADVMEAN_SEED must be an integer, got {raw!r}") from None
     return TrialConfig(n=args.n, delta=args.delta, trials=args.trials, seed=seed)
 
 
@@ -119,11 +110,7 @@ def _emit_verification(report: VerificationReport, args) -> int:
 def _cmd_construct(args) -> int:
     p = _load(args.infile)
     _regime(args)
-    try:
-        res = construct_q(p, args.n, args.delta)
-    except DegenerateError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
+    res = construct_q(p, args.n, args.delta)
     payload = distribution_to_dict(res.q)
     payload["meta"] = res.meta_dict()
     _emit(_json_bytes(payload), args.out)
@@ -172,11 +159,7 @@ def _emit_trials(report: dict, args, columns: list[str]) -> int:
 def _cmd_bench_mom(args) -> int:
     p = _load(args.infile)
     cfg = _trial_config(args)
-    try:
-        report = bench_mom(p, cfg)
-    except InsufficientSamplesError as exc:
-        raise _CliError(EXIT_USAGE, str(exc)) from exc
-    return _emit_trials(report, args, ["failure_rate", "bound"])
+    return _emit_trials(bench_mom(p, cfg), args, ["failure_rate", "bound"])
 
 
 def _cmd_distinguish(args) -> int:
@@ -190,9 +173,9 @@ def _cmd_scan(args) -> int:
     try:
         n_list = [int(tok) for tok in args.n_list.split(",") if tok]
     except ValueError as exc:
-        raise _CliError(EXIT_USAGE, f"bad --n-list: {exc}") from exc
+        raise DomainError(f"bad --n-list: {exc}") from exc
     if not n_list:
-        raise _CliError(EXIT_USAGE, "--n-list is empty")
+        raise DomainError("--n-list is empty")
     rows = asymptotic_scan(p, args.delta, n_list)
     label = Path(args.infile).stem
     for row in rows:
@@ -208,11 +191,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    try:
-        d = corpus.build(args.name)
-    except DomainError as exc:
-        raise _CliError(EXIT_USAGE, str(exc)) from exc
-    _emit(_json_bytes(distribution_to_dict(d)), args.out)
+    _emit(_json_bytes(distribution_to_dict(corpus.build(args.name))), args.out)
     return EXIT_PASS
 
 
@@ -287,9 +266,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("distinguish requires --pair")
     try:
         return args.fn(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+    except DegenerateError as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return EXIT_REFUSED
     except RegimeError as exc:
         print(
             f"error: {exc}; rerun with --override-regime to proceed without "

@@ -28,7 +28,6 @@ import math
 import reprlib
 import sys
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -41,10 +40,6 @@ LOAD_MASS_TOL = 1e-9
 # the error bound is sigma * sqrt(ERROR_COEFF * log(1/delta) / n).
 TRIM_COEFF = 0.45
 ERROR_COEFF = 4.5
-
-
-def _fsum(values: Iterable[float]) -> float:
-    return math.fsum(values)
 
 
 def _prepare_atoms(xs, ws) -> tuple[np.ndarray, np.ndarray]:
@@ -90,7 +85,7 @@ class AtomicDistribution:
         xs, ws = _prepare_atoms(xs, ws)
         if xs.size == 0:
             raise DomainError("a distribution needs at least one atom")
-        total = _fsum(ws.tolist())
+        total = math.fsum(ws.tolist())
         if abs(total - 1.0) > MASS_TOL:
             raise DomainError(f"masses sum to {total!r}, expected 1 within {MASS_TOL}")
         object.__setattr__(self, "xs", xs)
@@ -130,14 +125,14 @@ class TrimResult:
 
 def mean(d: AtomicDistribution) -> float:
     """First moment, exactly rounded."""
-    return _fsum((d.ws * d.xs).tolist())
+    return math.fsum((d.ws * d.xs).tolist())
 
 
 def variance(d: AtomicDistribution) -> float:
     """Centered second moment via two passes (mean first, then deviations)."""
     mu = mean(d)
     dev = d.xs - mu
-    return _fsum((d.ws * dev * dev).tolist())
+    return math.fsum((d.ws * dev * dev).tolist())
 
 
 def std(d: AtomicDistribution) -> float:
@@ -173,8 +168,8 @@ def trim(d: AtomicDistribution, t: float) -> TrimResult:
 
     inside = dist < radius
     boundary = dist == radius
-    mass_inside = _fsum(d.ws[inside].tolist())
-    mass_boundary = _fsum(d.ws[boundary].tolist())
+    mass_inside = math.fsum(d.ws[inside].tolist())
+    mass_boundary = math.fsum(d.ws[boundary].tolist())
     frac = (target - mass_inside) / mass_boundary
     frac = min(max(frac, 0.0), 1.0)
 
@@ -358,7 +353,7 @@ def distribution_from_dict(payload: dict) -> AtomicDistribution:
     if not xs:
         raise DomainError("distribution file holds no atoms")
     xs_arr, ws_arr = _prepare_atoms(xs, ws)
-    total = _fsum(ws_arr.tolist())
+    total = math.fsum(ws_arr.tolist())
     if abs(total - 1.0) > LOAD_MASS_TOL:
         raise DomainError(
             f"masses sum to {total!r}, more than {LOAD_MASS_TOL} away from 1"
@@ -376,10 +371,7 @@ def load_distribution(path) -> AtomicDistribution:
     return distribution_from_dict(payload)
 
 
-def save_distribution(d: AtomicDistribution, path, extra: dict | None = None) -> None:
-    payload = distribution_to_dict(d)
-    if extra:
-        payload.update(extra)
+def save_distribution(d: AtomicDistribution, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(distribution_to_dict(d), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -31,14 +31,6 @@ class HellingerReport:
     rhs: float
     indistinguishable: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "h_sq": self.h_sq,
-            "log_one_minus": self.log_one_minus,
-            "rhs": self.rhs,
-            "indistinguishable": self.indistinguishable,
-        }
-
 
 def hellinger_sq(p: AtomicDistribution, q: AtomicDistribution) -> float:
     """``0.5 * sum((sqrt(p_i) - sqrt(q_i))^2)`` over the union support."""

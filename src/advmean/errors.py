@@ -19,8 +19,9 @@ class RegimeError(ValueError):
         self.ratio_ok = ratio_ok
 
 
-class InsufficientSamplesError(ValueError):
-    """Fewer samples than estimator groups."""
+class InsufficientSamplesError(DomainError):
+    """Fewer samples than estimator groups; a :class:`DomainError`, so the
+    CLI reports it with exit code 2."""
 
     def __init__(self, group_count: int, n: int):
         super().__init__(

@@ -1,5 +1,8 @@
 """Mean estimators: median of group means and the plain sample mean.
 
+Samples are any 1-d sequence of floats (a list or an ``np.ndarray``); they
+are read as float64 and never modified.
+
 The group count is ``ceil(4.5 * log(1/delta))`` (never below 1).  Samples are
 split in input order into contiguous groups of near-equal size, the first
 ``n mod k`` groups taking one extra sample, and the median of the group means
@@ -15,32 +18,12 @@ result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, InsufficientSamplesError
 
 GROUP_COUNT_COEFF = 4.5
-
-
-@dataclass(frozen=True)
-class SampleBatch:
-    """An ordered batch of i.i.d. draws."""
-
-    values: np.ndarray
-
-    def __init__(self, values):
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim != 1 or values.size < 1:
-            raise DomainError("a sample batch needs at least one value")
-        values = values.copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-    @property
-    def n(self) -> int:
-        return int(self.values.size)
 
 
 def group_count(delta: float) -> int:
@@ -50,9 +33,10 @@ def group_count(delta: float) -> int:
 
 
 def _values(samples) -> np.ndarray:
-    if isinstance(samples, SampleBatch):
-        return samples.values
-    return SampleBatch(samples).values
+    values = np.asarray(samples, dtype=np.float64)
+    if values.ndim != 1 or values.size < 1:
+        raise DomainError("a sample batch must be 1-d with at least one value")
+    return values
 
 
 def median_of_means(samples, delta: float) -> float:

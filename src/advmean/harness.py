@@ -22,13 +22,14 @@ from .distribution import (
     AtomicDistribution,
     CoreStats,
     align,
+    check_budget,
     core_stats,
     epsilon,
     variance,
 )
 from .divergence import hellinger_report
 from .errors import DegenerateError, DomainError, InsufficientSamplesError
-from .estimators import SampleBatch, group_count, median_of_means
+from .estimators import group_count, median_of_means
 
 # Assertion slacks, folded into the reported bounds.
 MEAN_SHIFT_TOL = 1e-9
@@ -54,8 +55,7 @@ class TrialConfig:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError(f"n must be >= 1, got {self.n!r}")
-        if not 0.0 < self.delta < 1.0:
-            raise DomainError(f"delta must lie in (0, 1), got {self.delta!r}")
+        check_budget(self.n, self.delta)
         if self.trials < 1:
             raise DomainError(f"trials must be >= 1, got {self.trials!r}")
         if self.seed < 0:
@@ -124,18 +124,25 @@ def trial_stream(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, trial])))
 
 
-def sample(
-    d: AtomicDistribution, count: int, stream: np.random.Generator
-) -> SampleBatch:
-    """Inverse-CDF draws: a uniform in [0, 1) selects the atom whose
+def _cdf(d: AtomicDistribution) -> np.ndarray:
+    """Cumulative masses with the last interval closed at exactly 1.0, so
+    cumulative rounding can never leave a uniform draw past the last atom."""
+    cum = np.cumsum(d.ws)
+    cum[-1] = 1.0
+    return cum
+
+
+def _draw(cum: np.ndarray, count: int, stream: np.random.Generator) -> np.ndarray:
+    """Inverse-CDF atom indices: a uniform in [0, 1) selects the atom whose
     cumulative-mass interval contains it."""
+    return np.searchsorted(cum, stream.random(count), side="right")
+
+
+def sample(d: AtomicDistribution, count: int, stream: np.random.Generator) -> np.ndarray:
+    """``count`` inverse-CDF draws from ``d`` as a 1-d float array."""
     if count < 1:
         raise DomainError(f"sample count must be >= 1, got {count!r}")
-    cum = np.cumsum(d.ws)
-    cum[-1] = 1.0  # close the last interval against cumulative rounding
-    u = stream.random(count)
-    idx = np.searchsorted(cum, u, side="right")
-    return SampleBatch(d.xs[idx])
+    return d.xs[_draw(_cdf(d), count, stream)]
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +295,7 @@ def bench_mom(p: AtomicDistribution, cfg: TrialConfig) -> dict:
 
     def one_trial(t: int) -> bool:
         stream = trial_stream(cfg.seed, t)
-        batch = sample(p, cfg.n, stream)
-        est = median_of_means(batch, cfg.delta)
+        est = median_of_means(sample(p, cfg.n, stream), cfg.delta)
         return abs(est - mu_p) > bound
 
     fails = np.fromiter(map(one_trial, range(cfg.trials)), bool, cfg.trials)
@@ -349,17 +355,13 @@ def lr_test_error(
             return math.fsum(values.tolist())
         return float(np.sum(values))
 
-    cum_p = np.cumsum(p.ws)
-    cum_p[-1] = 1.0
-    cum_q = np.cumsum(q.ws)
-    cum_q[-1] = 1.0
+    cum_p, cum_q = _cdf(p), _cdf(q)
 
     def one_trial(t: int) -> bool:
         from_p = t < half
         cum, table = (cum_p, table_p) if from_p else (cum_q, table_q)
         stream = trial_stream(cfg.seed, t)
-        idx = np.searchsorted(cum, stream.random(cfg.n), side="right")
-        lam = lam_of(table[idx])
+        lam = lam_of(table[_draw(cum, cfg.n, stream)])
         if lam == 0.0:
             decide_q = stream.random() < 0.5
         else:

@@ -250,7 +250,7 @@ def _lr_wrong_reversed(p, q, cfg):
         from_p = t < cfg.trials // 2
         source, table = (p, table_p) if from_p else (q, table_q)
         stream = trial_stream(cfg.seed, t)
-        draws = sample(source, cfg.n, stream).values
+        draws = sample(source, cfg.n, stream)
         terms = table[np.searchsorted(source.xs, draws)]
         if np.all(np.isfinite(terms)):
             lam = math.fsum(terms.tolist())

@@ -204,6 +204,13 @@ class TestBenchAndDistinguish:
         assert "ADVMEAN_SEED" in capsys.readouterr().err
         assert run(*bench, "--seed", "3") == 0
 
+    def test_bench_mom_too_few_samples(self, two_point_file, capsys):
+        code = run("bench-mom", "--in", two_point_file, "--n", "5", "--delta", "0.05")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: need at least 14 samples for 14 groups, got 5\n"
+        )
+
 
 @pytest.mark.parametrize("sub", ["construct", "verify", "neighborhood"])
 def test_overflowing_moments_exit_two(sub, tmp_path, capsys):
@@ -216,6 +223,7 @@ def test_overflowing_moments_exit_two(sub, tmp_path, capsys):
 
 
 HUGE = "9" * 400  # an integer with no float64 value
+SAME = "<the --in file>"  # stands for the fixture path in an argument list
 
 
 @pytest.mark.parametrize(
@@ -226,12 +234,15 @@ HUGE = "9" * 400  # an integer with no float64 value
         (["scan", "--delta", "0.05", "--n-list", HUGE], f"got {HUGE}"),
         (["verify", "--n", HUGE, "--delta", "0.05"], f"got {HUGE}"),
         (["construct", "--n", HUGE, "--delta", "0.05"], f"got {HUGE}"),
+        (["distinguish", "--pair", SAME, "--n", HUGE, "--delta", "0.05", "--trials", "2"],
+         f"got {HUGE}"),
     ],
     ids=["scan-delta-zero", "scan-delta-negative", "scan-huge-n", "verify-huge-n",
-         "construct-huge-n"],
+         "construct-huge-n", "distinguish-huge-n"],
 )
 def test_bad_numbers_exit_two(argv, named, two_point_file, capsys):
-    assert run(argv[0], "--in", two_point_file, *argv[1:]) == 2
+    rest = [two_point_file if a == SAME else a for a in argv[1:]]
+    assert run(argv[0], "--in", two_point_file, *rest) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
 
@@ -269,8 +280,13 @@ class TestScanAndGen:
         d = load_distribution(out)
         assert d.num_atoms == 200
 
-    def test_gen_unknown_name(self, tmp_path):
+    def test_gen_unknown_name(self, tmp_path, capsys):
         assert run("gen", "--name", "nope", "--out", str(tmp_path / "x.json")) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown corpus member 'nope'; choose from ['contaminated_gaussian', "
+            "'gaussian_grid', 'pareto_15', 'pareto_25', 'two_point_asymmetric', "
+            "'two_point_symmetric']\n"
+        )
 
     def test_usage_error_exit_two(self, capsys):
         with pytest.raises(SystemExit) as err:

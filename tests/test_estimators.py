@@ -4,8 +4,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from advmean import (
+    DomainError,
     InsufficientSamplesError,
-    SampleBatch,
     group_count,
     median_of_means,
     sample_mean,
@@ -48,10 +48,15 @@ class TestMedianOfMeans:
         with pytest.raises(InsufficientSamplesError) as err:
             median_of_means([1.0, 2.0], 0.05)
         assert err.value.group_count == 14
+        assert isinstance(err.value, DomainError)
 
-    def test_accepts_sample_batch(self):
-        batch = SampleBatch(np.arange(1.0, 15.0))
-        assert median_of_means(batch, 0.05) == 7.5
+    def test_accepts_ndarray(self):
+        assert median_of_means(np.arange(1.0, 15.0), 0.05) == 7.5
+
+    @pytest.mark.parametrize("samples", [[], np.ones((2, 14))], ids=["empty", "2-d"])
+    def test_rejects_empty_or_not_1d(self, samples):
+        with pytest.raises(DomainError):
+            median_of_means(samples, 0.05)
 
     @given(
         st.lists(st.integers(min_value=-100, max_value=100), min_size=14, max_size=14)
@@ -102,6 +107,10 @@ class TestMedianOfMeans:
 
 
 class TestSampleMean:
+    def test_rejects_empty(self):
+        with pytest.raises(DomainError):
+            sample_mean([])
+
     def test_singleton(self):
         assert sample_mean([42.0]) == 42.0
 
