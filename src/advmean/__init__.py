@@ -5,12 +5,10 @@ are the package's public surface."""
 from .adversary import (
     AdversaryResult,
     Case,
-    RatioReport,
     RegimeFlags,
     Sign,
     construct_q,
     density_ratio,
-    regime_flags,
 )
 from .distribution import (
     AtomicDistribution,
@@ -19,15 +17,12 @@ from .distribution import (
     load_distribution,
     mean,
     mixture,
-    save_distribution,
-    scale,
-    shift,
     standard_trim,
     std,
     trim,
     variance,
 )
-from .divergence import HellingerReport, bhattacharyya, hellinger_sq, indistinguishable
+from .divergence import hellinger_sq
 from .errors import (
     DegenerateError,
     DomainError,

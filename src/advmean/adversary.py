@@ -22,6 +22,8 @@ Quantitative guarantees are only asserted downstream inside the
 small-parameter regime ``delta <= REGIME_DELTA_MAX`` and
 ``log(1/delta)/n <= REGIME_RATIO_MAX``; outside it, results carry regime
 flags and nothing is promised.
+
+:func:`density_ratio` measures a built pair's sup ``dq/dp`` as one float.
 """
 
 from __future__ import annotations
@@ -93,25 +95,9 @@ def require_regime(n: float, delta: float, override_regime: bool) -> RegimeFlags
     if not flags.ok and not override_regime:
         raise RegimeError(
             f"(n={n!r}, delta={delta!r}) is outside the asserted regime "
-            "(delta <= 0.1, log(1/delta)/n <= 0.01)",
-            delta_ok=flags.delta_ok,
-            ratio_ok=flags.ratio_ok,
+            "(delta <= 0.1, log(1/delta)/n <= 0.01)"
         )
     return flags
-
-
-@dataclass(frozen=True)
-class RatioReport:
-    """Per-atom density ratios of ``q`` against ``p``.
-
-    ``ratios`` is aligned with the atoms of ``p``.  When ``q`` carries mass
-    at a position ``p`` lacks, ``sup_ratio`` is ``+inf`` and ``offending``
-    names the first such position.
-    """
-
-    ratios: np.ndarray
-    sup_ratio: float
-    offending: float | None = None
 
 
 @dataclass(frozen=True)
@@ -195,15 +181,13 @@ def _bisect_skew(
     return 0.5 * (lo + hi), False
 
 
-def density_ratio(q: AtomicDistribution, p: AtomicDistribution) -> RatioReport:
-    """Per-atom mass ratios ``q(x)/p(x)`` at the atoms of ``p``."""
-    xs, wp, wq = align(p, q)
-    on_p = wp > 0.0
-    ratios = wq[on_p] / wp[on_p]
-    if not on_p.all():
-        # q carries mass somewhere p has none
-        return RatioReport(ratios, float("inf"), float(xs[~on_p][0]))
-    return RatioReport(ratios, float(ratios.max()))
+def density_ratio(q: AtomicDistribution, p: AtomicDistribution) -> float:
+    """The sup of the per-atom mass ratio ``q(x)/p(x)`` over ``p``'s atoms;
+    ``inf`` when ``q`` carries mass where ``p`` has none."""
+    _, wp, wq = align(p, q)
+    if not (wp > 0.0).all():
+        return math.inf
+    return float((wq / wp).max())
 
 
 def pair_diagnostics(
@@ -216,7 +200,7 @@ def pair_diagnostics(
         "mu_p": stats.mu,
         "mu_q": mu_q,
         "mean_shift": abs(mu_q - stats.mu),
-        "sup_ratio": density_ratio(q, p).sup_ratio,
+        "sup_ratio": density_ratio(q, p),
         "hellinger_sq": hellinger_sq(p, q),
     }
 

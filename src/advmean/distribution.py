@@ -4,8 +4,8 @@ Everything downstream works with probability measures supported on finitely
 many points, so every integral is a finite sum and every density ratio is a
 per-atom mass ratio.  This module provides the value type
 (:class:`AtomicDistribution`), moments, the radial trimming operation, the
-trimmed-core statistics and error bound, support alignment, mixing, affine
-maps, and the JSON file format used by the CLI.
+trimmed-core statistics and error bound, support alignment, mixing, and the
+JSON file format used by the CLI.
 
 Numerical conventions
 ---------------------
@@ -42,8 +42,11 @@ TRIM_COEFF = 0.45
 ERROR_COEFF = 4.5
 
 
-def _prepare_atoms(xs, ws) -> tuple[np.ndarray, np.ndarray]:
-    """Sort positions, merge equal ones (masses add), validate positivity."""
+def _prepare_atoms(xs, ws) -> tuple[np.ndarray, np.ndarray, float]:
+    """Sort positions, merge equal ones (masses add), validate positivity.
+
+    Returns ``(xs, ws, total)`` with ``total`` the exactly rounded mass sum;
+    masses whose sum has no float64 value raise :class:`DomainError`."""
     xs = np.asarray(xs, dtype=np.float64)
     ws = np.asarray(ws, dtype=np.float64)
     if xs.ndim != 1 or ws.ndim != 1 or xs.shape != ws.shape:
@@ -67,7 +70,13 @@ def _prepare_atoms(xs, ws) -> tuple[np.ndarray, np.ndarray]:
             ws = merged
     xs.flags.writeable = False
     ws.flags.writeable = False
-    return xs, ws
+    try:
+        total = math.fsum(ws.tolist())
+    except OverflowError:
+        raise DomainError(
+            f"masses sum past float64 range (largest mass {float(ws.max())!r})"
+        ) from None
+    return xs, ws, total
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,10 +91,9 @@ class AtomicDistribution:
     ws: np.ndarray
 
     def __init__(self, xs, ws):
-        xs, ws = _prepare_atoms(xs, ws)
+        xs, ws, total = _prepare_atoms(xs, ws)
         if xs.size == 0:
             raise DomainError("a distribution needs at least one atom")
-        total = math.fsum(ws.tolist())
         if abs(total - 1.0) > MASS_TOL:
             raise DomainError(f"masses sum to {total!r}, expected 1 within {MASS_TOL}")
         object.__setattr__(self, "xs", xs)
@@ -305,20 +313,6 @@ def mixture(
     return AtomicDistribution(xs, w2 + lam * (w1 - w2))
 
 
-def shift(d: AtomicDistribution, c: float) -> AtomicDistribution:
-    """Translate every position by ``c``."""
-    if not math.isfinite(c):
-        raise DomainError("shift must be finite")
-    return AtomicDistribution(d.xs + c, d.ws)
-
-
-def scale(d: AtomicDistribution, s: float) -> AtomicDistribution:
-    """Multiply every position by ``s != 0`` (re-sorted for negative ``s``)."""
-    if s == 0.0 or not math.isfinite(s):
-        raise DomainError("scale factor must be finite and nonzero")
-    return AtomicDistribution(d.xs * s, d.ws)
-
-
 # ---------------------------------------------------------------------------
 # File format: {"atoms": [{"x": number, "w": number}, ...]}.  Atoms need not
 # be sorted on disk; the loader sorts, merges exact duplicates, accepts a
@@ -352,8 +346,7 @@ def distribution_from_dict(payload: dict) -> AtomicDistribution:
         ) from None
     if not xs:
         raise DomainError("distribution file holds no atoms")
-    xs_arr, ws_arr = _prepare_atoms(xs, ws)
-    total = math.fsum(ws_arr.tolist())
+    xs_arr, ws_arr, total = _prepare_atoms(xs, ws)
     if abs(total - 1.0) > LOAD_MASS_TOL:
         raise DomainError(
             f"masses sum to {total!r}, more than {LOAD_MASS_TOL} away from 1"
@@ -369,9 +362,3 @@ def load_distribution(path) -> AtomicDistribution:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     return distribution_from_dict(payload)
-
-
-def save_distribution(d: AtomicDistribution, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(distribution_to_dict(d), fh, indent=2, sort_keys=True)
-        fh.write("\n")

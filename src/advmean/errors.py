@@ -13,11 +13,6 @@ class DegenerateError(ValueError):
 class RegimeError(ValueError):
     """The (n, delta) pair is outside the asserted small-parameter regime."""
 
-    def __init__(self, message: str, delta_ok: bool, ratio_ok: bool):
-        super().__init__(message)
-        self.delta_ok = delta_ok
-        self.ratio_ok = ratio_ok
-
 
 class InsufficientSamplesError(DomainError):
     """Fewer samples than estimator groups; a :class:`DomainError`, so the

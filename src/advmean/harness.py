@@ -13,6 +13,7 @@ bitwise-identical reports.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,6 @@ from .distribution import (
     epsilon,
     variance,
 )
-from .divergence import hellinger_report
 from .errors import DegenerateError, DomainError, InsufficientSamplesError
 from .estimators import group_count, median_of_means
 
@@ -56,8 +56,10 @@ class TrialConfig:
         if self.n < 1:
             raise DomainError(f"n must be >= 1, got {self.n!r}")
         check_budget(self.n, self.delta)
-        if self.trials < 1:
-            raise DomainError(f"trials must be >= 1, got {self.trials!r}")
+        if not 1 <= self.trials <= sys.maxsize:
+            raise DomainError(
+                f"trials must lie in [1, {sys.maxsize}], got {self.trials!r}"
+            )
         if self.seed < 0:
             raise DomainError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
@@ -150,11 +152,26 @@ def sample(d: AtomicDistribution, count: int, stream: np.random.Generator) -> np
 # ---------------------------------------------------------------------------
 
 
+def _closeness_conditions(
+    diag: dict, n: int, delta: float
+) -> tuple[Condition, Condition]:
+    """The ``hellinger_closeness`` condition ``log(1 - h_sq) >= log(4 delta)
+    / (2n)``, its left side ``-inf`` once ``h_sq`` reaches 1, and the
+    ``density_ratio`` condition ``sup dq/dp <= 2``."""
+    one_minus = 1.0 - diag["hellinger_sq"]
+    log_one_minus = math.log(one_minus) if one_minus > 0.0 else -math.inf
+    rhs = math.log(4.0 * delta) / (2.0 * n)
+    return (
+        Condition("hellinger_closeness", log_one_minus, rhs - HELLINGER_TOL, "ge"),
+        Condition("density_ratio", diag["sup_ratio"], 2.0 + RATIO_TOL, "le"),
+    )
+
+
 def _pair_conditions(
     q: AtomicDistribution, n: int, delta: float, stats: CoreStats, diag: dict
 ) -> tuple[Condition, ...]:
     eps_p = stats.eps
-    closeness = hellinger_report(diag["hellinger_sq"], n, delta)
+    closeness, ratio = _closeness_conditions(diag, n, delta)
     return (
         Condition(
             "mean_separation",
@@ -162,13 +179,8 @@ def _pair_conditions(
             eps_p / 32.0 - MEAN_SHIFT_TOL,
             "ge",
         ),
-        Condition(
-            "hellinger_closeness",
-            closeness.log_one_minus,
-            closeness.rhs - HELLINGER_TOL,
-            "ge",
-        ),
-        Condition("density_ratio", diag["sup_ratio"], 2.0 + RATIO_TOL, "le"),
+        closeness,
+        ratio,
         Condition(
             "variance_doubling",
             variance(q),
@@ -244,7 +256,7 @@ def verify_neighborhood(
         return _degenerate_report("neighborhood_membership", flags, exc)
     eps_p, diag = res.stats.eps, res.diagnostics
     eps_q_shrunk = epsilon(res.q, n / SAMPLE_SHRINK, delta)
-    closeness = hellinger_report(diag["hellinger_sq"], n, delta)
+    closeness, ratio = _closeness_conditions(diag, n, delta)
     conditions = (
         Condition(
             "error_transfer",
@@ -252,19 +264,14 @@ def verify_neighborhood(
             ERROR_TRANSFER_FACTOR * eps_p + ERROR_TRANSFER_TOL,
             "le",
         ),
-        Condition(
-            "hellinger_closeness",
-            closeness.log_one_minus,
-            closeness.rhs - HELLINGER_TOL,
-            "ge",
-        ),
+        closeness,
         Condition(
             "mean_shift_within",
             diag["mean_shift"],
             eps_p + SHIFT_UPPER_TOL,
             "le",
         ),
-        Condition("density_ratio", diag["sup_ratio"], 2.0 + RATIO_TOL, "le"),
+        ratio,
     )
     meta = res.meta_dict()
     meta["composite_bound_p"] = min(epsilon(p, n / SAMPLE_SHRINK, delta), eps_p)
@@ -298,8 +305,7 @@ def bench_mom(p: AtomicDistribution, cfg: TrialConfig) -> dict:
         est = median_of_means(sample(p, cfg.n, stream), cfg.delta)
         return abs(est - mu_p) > bound
 
-    fails = np.fromiter(map(one_trial, range(cfg.trials)), bool, cfg.trials)
-    failure_rate = int(fails.sum()) / cfg.trials
+    failure_rate = sum(map(one_trial, range(cfg.trials))) / cfg.trials
     ci_halfwidth = 3.0 * math.sqrt(cfg.delta * (1.0 - cfg.delta) / cfg.trials)
     return {
         "kind": "bench_mom",
@@ -368,9 +374,8 @@ def lr_test_error(
             decide_q = lam > 0.0
         return decide_q if from_p else not decide_q
 
-    wrong = np.fromiter(map(one_trial, range(cfg.trials)), bool, cfg.trials)
-    type_i = int(wrong[:half].sum()) / half
-    type_ii = int(wrong[half:].sum()) / half
+    type_i = sum(map(one_trial, range(half))) / half
+    type_ii = sum(map(one_trial, range(half, cfg.trials))) / half
     empirical_error = 0.5 * (type_i + type_ii)
     ci_halfwidth = 3.0 * math.sqrt(0.25 / cfg.trials)
     return {

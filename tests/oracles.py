@@ -5,6 +5,21 @@ import math
 import numpy as np
 
 from advmean import AtomicDistribution, DomainError, Sign, TrimResult, mean
+from advmean.distribution import align
+
+
+def affine(d: AtomicDistribution, s: float, c: float) -> AtomicDistribution:
+    """``d`` with every position mapped to ``x * s + c`` (re-sorted for
+    negative ``s``)."""
+    return AtomicDistribution(d.xs * s + c, d.ws)
+
+
+def bhattacharyya(p: AtomicDistribution, q: AtomicDistribution) -> float:
+    """``sum(sqrt(p_i * q_i))`` over the shared positions; equals
+    ``1 - hellinger_sq``."""
+    _, wp, wq = align(p, q)
+    shared = (wp > 0.0) & (wq > 0.0)
+    return math.fsum(np.sqrt(wp[shared] * wq[shared]).tolist())
 
 
 def skew_masses(p: AtomicDistribution, a: float) -> tuple[list, list]:

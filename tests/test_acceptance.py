@@ -17,7 +17,6 @@ from advmean import (
     TrialConfig,
     asymptotic_scan,
     bench_mom,
-    bhattacharyya,
     construct_q,
     hellinger_sq,
     lr_test_error,
@@ -31,7 +30,7 @@ from advmean import (
 )
 from advmean import corpus
 
-from oracles import brute_force_trim, skew_masses
+from oracles import bhattacharyya, brute_force_trim, skew_masses
 
 N_GRID = [10**3, 10**4, 10**5]
 DELTA_GRID = [0.05, 0.01, 0.001]

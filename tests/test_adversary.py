@@ -13,8 +13,6 @@ from advmean import (
     construct_q,
     density_ratio,
     mean,
-    scale,
-    shift,
     standard_trim,
     std,
     variance,
@@ -23,7 +21,7 @@ from advmean import corpus
 from advmean.adversary import _clamped_shift
 
 from conftest import atomic_distributions, symmetric_distributions
-from oracles import skew_masses, skew_partner
+from oracles import affine, skew_masses, skew_partner
 
 N, DELTA = 1000, 0.05
 LOG_TERM = math.log(20.0)
@@ -144,9 +142,9 @@ class TestInvariance:
     @pytest.mark.parametrize("c", [-7.5, 0.0, 3.25])
     def test_case1_shift_scale(self, asym_two_point, s, c):
         base = construct_q(asym_two_point, N, DELTA)
-        moved = construct_q(shift(scale(asym_two_point, s), c), N, DELTA)
+        moved = construct_q(affine(asym_two_point, s, c), N, DELTA)
         assert moved.case is base.case
-        expected = shift(scale(base.q, s), c)
+        expected = affine(base.q, s, c)
         assert np.array_equal(moved.q.xs, expected.xs)
         assert moved.q.ws == pytest.approx(expected.ws, rel=1e-10)
 
@@ -154,9 +152,9 @@ class TestInvariance:
     @pytest.mark.parametrize("c", [-7.5, 3.25])
     def test_case2_shift_scale(self, two_point, s, c):
         base = construct_q(two_point, N, DELTA)
-        moved = construct_q(shift(scale(two_point, s), c), N, DELTA)
+        moved = construct_q(affine(two_point, s, c), N, DELTA)
         assert moved.case is base.case
-        expected = shift(scale(base.q, s), c)
+        expected = affine(base.q, s, c)
         assert np.array_equal(moved.q.xs, expected.xs)
         assert moved.q.ws == pytest.approx(expected.ws, rel=1e-10)
 
@@ -166,31 +164,27 @@ class TestInvariance:
         # reflection (a tie would legitimately stay on the plus branch)
         p = AtomicDistribution([-1e6, 0.0, 1.0], [1e-9, 0.5, 0.499999999])
         base = construct_q(p, N, DELTA)
-        mirrored = construct_q(scale(p, -1.0), N, DELTA)
+        mirrored = construct_q(affine(p, -1.0, 0.0), N, DELTA)
         assert mirrored.case is base.case
         assert {base.sign, mirrored.sign} == {Sign.PLUS, Sign.MINUS}
-        expected = scale(base.q, -1.0)
+        expected = affine(base.q, -1.0, 0.0)
         assert np.array_equal(mirrored.q.xs, expected.xs)
         assert mirrored.q.ws == pytest.approx(expected.ws, rel=1e-10)
 
 
 class TestDensityRatio:
     def test_identity(self, two_point):
-        rep = density_ratio(two_point, two_point)
-        assert rep.ratios.tolist() == [1.0, 1.0]
-        assert rep.sup_ratio == 1.0
+        assert density_ratio(two_point, two_point) == 1.0
 
     def test_case1_example(self, asym_two_point):
         res = construct_q(asym_two_point, N, DELTA)
-        rep = density_ratio(res.q, asym_two_point)
-        assert rep.sup_ratio == pytest.approx(0.99925 / 0.999, rel=1e-14)
+        ratio = density_ratio(res.q, asym_two_point)
+        assert ratio == pytest.approx(0.99925 / 0.999, rel=1e-14)
 
     def test_disjoint_supports(self):
         p = AtomicDistribution([1.0], [1.0])
         q = AtomicDistribution([0.0], [1.0])
-        rep = density_ratio(q, p)
-        assert rep.sup_ratio == float("inf")
-        assert rep.offending == 0.0
+        assert density_ratio(q, p) == float("inf")
 
 
 def _case2_results(d):

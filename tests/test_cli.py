@@ -2,29 +2,33 @@ import json
 
 import pytest
 
-from advmean import AtomicDistribution, load_distribution, save_distribution
+from advmean import AtomicDistribution, load_distribution
 from advmean.cli import main
+from advmean.distribution import distribution_to_dict
+
+
+def write_distribution(path, d):
+    path.write_text(json.dumps(distribution_to_dict(d), indent=2, sort_keys=True))
+    return str(path)
 
 
 @pytest.fixture
 def two_point_file(tmp_path):
-    path = tmp_path / "two_point.json"
-    save_distribution(AtomicDistribution([-1.0, 1.0], [0.5, 0.5]), path)
-    return str(path)
+    return write_distribution(
+        tmp_path / "two_point.json", AtomicDistribution([-1.0, 1.0], [0.5, 0.5])
+    )
 
 
 @pytest.fixture
 def asym_file(tmp_path):
-    path = tmp_path / "asym.json"
-    save_distribution(AtomicDistribution([0.0, 1000.0], [0.999, 0.001]), path)
-    return str(path)
+    return write_distribution(
+        tmp_path / "asym.json", AtomicDistribution([0.0, 1000.0], [0.999, 0.001])
+    )
 
 
 @pytest.fixture
 def point_mass_file(tmp_path):
-    path = tmp_path / "point.json"
-    save_distribution(AtomicDistribution([0.0], [1.0]), path)
-    return str(path)
+    return write_distribution(tmp_path / "point.json", AtomicDistribution([0.0], [1.0]))
 
 
 def run(*argv):
@@ -223,6 +227,7 @@ def test_overflowing_moments_exit_two(sub, tmp_path, capsys):
 
 
 HUGE = "9" * 400  # an integer with no float64 value
+MANY = "1" + "0" * 30  # a trial count past sys.maxsize
 SAME = "<the --in file>"  # stands for the fixture path in an argument list
 
 
@@ -236,9 +241,13 @@ SAME = "<the --in file>"  # stands for the fixture path in an argument list
         (["construct", "--n", HUGE, "--delta", "0.05"], f"got {HUGE}"),
         (["distinguish", "--pair", SAME, "--n", HUGE, "--delta", "0.05", "--trials", "2"],
          f"got {HUGE}"),
+        (["bench-mom", "--n", "140", "--delta", "0.05", "--trials", MANY], f"got {MANY}"),
+        (["distinguish", "--pair", SAME, "--n", "140", "--delta", "0.05", "--trials", MANY],
+         f"got {MANY}"),
     ],
     ids=["scan-delta-zero", "scan-delta-negative", "scan-huge-n", "verify-huge-n",
-         "construct-huge-n", "distinguish-huge-n"],
+         "construct-huge-n", "distinguish-huge-n", "bench-mom-huge-trials",
+         "distinguish-huge-trials"],
 )
 def test_bad_numbers_exit_two(argv, named, two_point_file, capsys):
     rest = [two_point_file if a == SAME else a for a in argv[1:]]
@@ -248,15 +257,17 @@ def test_bad_numbers_exit_two(argv, named, two_point_file, capsys):
 
 
 @pytest.mark.parametrize(
-    "x, named",
-    [('"abc"', "has no float64 value: 'abc'"),
-     (HUGE, "has no float64 value: 9999"),
-     ("9" * 5000, "value has 5000 digits")],
-    ids=["string", "huge-int", "over-long-int"],
+    "atoms, named",
+    [('{"x": "abc", "w": 1.0}', "has no float64 value: 'abc'"),
+     ('{"x": %s, "w": 1.0}' % HUGE, "has no float64 value: 9999"),
+     ('{"x": %s, "w": 1.0}' % ("9" * 5000), "value has 5000 digits"),
+     ('{"x": 0, "w": 1e308}, {"x": 1, "w": 1e308}',
+      "masses sum past float64 range (largest mass 1e+308)")],
+    ids=["string", "huge-int", "over-long-int", "mass-sum-overflow"],
 )
-def test_unconvertible_atom_exit_two(x, named, tmp_path, capsys):
+def test_unconvertible_atom_exit_two(atoms, named, tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text('{"atoms": [{"x": %s, "w": 1.0}]}' % x)
+    path.write_text('{"atoms": [%s]}' % atoms)
     assert run("verify", "--in", str(path), "--n", "1000", "--delta", "0.05") == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and named in err

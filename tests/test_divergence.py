@@ -5,18 +5,11 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from advmean import (
-    AtomicDistribution,
-    DomainError,
-    bhattacharyya,
-    construct_q,
-    density_ratio,
-    hellinger_sq,
-    indistinguishable,
-)
+from advmean import AtomicDistribution, construct_q, density_ratio, hellinger_sq
+from advmean.harness import pair_conditions
 
 from conftest import atomic_distributions
-from oracles import skew_masses
+from oracles import bhattacharyya, skew_masses
 
 
 def merged_masses(p, q):
@@ -45,14 +38,10 @@ def test_aligned_paths_match_merge_reference(p, q):
     bc_ref = math.fsum(math.sqrt(a * b) for a, b in pairs if a and b)
     assert hellinger_sq(p, q) == h_ref
     assert bhattacharyya(p, q) == bc_ref
-    ratios = [b / a for a, b in pairs if a]
-    rep = density_ratio(q, p)
-    assert rep.ratios.tolist() == ratios
     if all(a for a, _ in pairs):
-        assert rep.sup_ratio == max(ratios) and rep.offending is None
+        assert density_ratio(q, p) == max(b / a for a, b in pairs)
     else:
-        assert rep.sup_ratio == math.inf
-        assert rep.offending == min(set(q.xs.tolist()) - set(p.xs.tolist()))
+        assert density_ratio(q, p) == math.inf
 
 
 class TestHellinger:
@@ -101,36 +90,37 @@ class TestBhattacharyya:
 
 
 class TestIndistinguishable:
+    """The ``hellinger_closeness`` condition ``log(1 - H^2) >= log(4 delta)
+    / (2n)`` of an explicit pair."""
+
+    @staticmethod
+    def closeness(p, q, n, delta):
+        by_name = {c.name: c for c in pair_conditions(p, q, n, delta)}
+        return by_name["hellinger_closeness"]
+
     def test_identical_distributions(self, two_point):
-        rep = indistinguishable(two_point, two_point, 1000, 0.05)
-        assert rep.h_sq == 0.0
-        assert rep.log_one_minus == 0.0
-        assert rep.rhs < 0.0
-        assert rep.indistinguishable
+        cond = self.closeness(two_point, two_point, 1000, 0.05)
+        assert cond.measured == 0.0
+        assert cond.bound < 0.0
+        assert cond.passed
 
     def test_case1_worked_example(self, asym_two_point):
         q = AtomicDistribution([0.0, 1000.0], [0.99925, 0.00075])
-        rep = indistinguishable(asym_two_point, q, 1000, 0.05)
+        cond = self.closeness(asym_two_point, q, 1000, 0.05)
         closed_form = 0.5 * (
             (math.sqrt(0.999) - math.sqrt(0.99925)) ** 2
             + (math.sqrt(0.001) - math.sqrt(0.00075)) ** 2
         )
-        assert rep.h_sq == pytest.approx(closed_form, rel=1e-12)
-        assert rep.rhs == pytest.approx(math.log(0.2) / 2000, rel=1e-15)
-        assert rep.indistinguishable
+        assert cond.measured == pytest.approx(math.log1p(-closed_form), rel=1e-9)
+        assert cond.bound == pytest.approx(math.log(0.2) / 2000, rel=1e-8)
+        assert cond.passed
 
     def test_perfectly_distinguishable(self):
         p = AtomicDistribution([0.0], [1.0])
         q = AtomicDistribution([1.0], [1.0])
-        rep = indistinguishable(p, q, 1, 0.05)
-        assert rep.log_one_minus == float("-inf")
-        assert not rep.indistinguishable
-
-    def test_delta_domain(self, two_point):
-        with pytest.raises(DomainError):
-            indistinguishable(two_point, two_point, 10, 0.25)
-        with pytest.raises(DomainError):
-            indistinguishable(two_point, two_point, 10, 0.3)
+        cond = self.closeness(p, q, 1000, 0.05)
+        assert cond.measured == float("-inf")
+        assert not cond.passed
 
 
 def extended_hellinger_sq(wp, wm):
