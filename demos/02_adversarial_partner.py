@@ -33,7 +33,7 @@ def main():
         print(f"  var(q)/var(p) = {variance(res.q) / variance(d):.4f}")
 
         report = verify_theorem(d, N, DELTA)
-        verdict = "all conditions hold" if report.passed else "FAILED"
+        verdict = "all conditions hold" if report["pass"] else "FAILED"
         print(f"  verification: {verdict}\n")
 
     print("every branch keeps q within a factor-2 density ratio of p, so q")

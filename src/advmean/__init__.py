@@ -5,7 +5,6 @@ are the package's public surface."""
 from .adversary import (
     AdversaryResult,
     Case,
-    RegimeFlags,
     Sign,
     construct_q,
     density_ratio,
@@ -31,9 +30,7 @@ from .errors import (
 )
 from .estimators import group_count, median_of_means, sample_mean
 from .harness import (
-    Condition,
     TrialConfig,
-    VerificationReport,
     asymptotic_scan,
     bench_mom,
     lr_test_error,

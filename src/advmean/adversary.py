@@ -67,32 +67,21 @@ class Sign(Enum):
     MINUS = "minus"
 
 
-@dataclass(frozen=True)
-class RegimeFlags:
-    delta_ok: bool
-    ratio_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.delta_ok and self.ratio_ok
-
-    def to_dict(self) -> dict:
-        return {"delta_ok": self.delta_ok, "ratio_ok": self.ratio_ok}
-
-
-def regime_flags(n: float, delta: float) -> RegimeFlags:
+def regime_flags(n: float, delta: float) -> dict:
+    """``{"delta_ok", "ratio_ok"}``: whether ``(n, delta)`` meets each bound
+    of the asserted regime."""
     check_budget(n, delta)
-    return RegimeFlags(
-        delta_ok=delta <= REGIME_DELTA_MAX,
-        ratio_ok=math.log(1.0 / delta) / n <= REGIME_RATIO_MAX,
-    )
+    return {
+        "delta_ok": delta <= REGIME_DELTA_MAX,
+        "ratio_ok": math.log(1.0 / delta) / n <= REGIME_RATIO_MAX,
+    }
 
 
-def require_regime(n: float, delta: float, override_regime: bool) -> RegimeFlags:
+def require_regime(n: float, delta: float, override_regime: bool) -> dict:
     """The regime flags of ``(n, delta)``; outside the asserted regime this
     raises :class:`RegimeError` unless ``override_regime`` is set."""
     flags = regime_flags(n, delta)
-    if not flags.ok and not override_regime:
+    if not all(flags.values()) and not override_regime:
         raise RegimeError(
             f"(n={n!r}, delta={delta!r}) is outside the asserted regime "
             "(delta <= 0.1, log(1/delta)/n <= 0.01)"
@@ -119,7 +108,7 @@ class AdversaryResult:
     sign: Sign | None
     b: float | None
     diagnostics: dict
-    regime: RegimeFlags
+    regime: dict
     stats: CoreStats = field(repr=False, compare=False)
     saturated: bool = False
 
@@ -131,7 +120,7 @@ class AdversaryResult:
             "sign": self.sign.value if self.sign is not None else None,
             "b": self.b,
             "saturated": self.saturated,
-            "regime": self.regime.to_dict(),
+            "regime": dict(self.regime),
             "diagnostics": dict(self.diagnostics),
         }
 
@@ -148,17 +137,16 @@ def _clamped_shift(dev: np.ndarray, ws: np.ndarray, a: float) -> float:
 
 
 def _bisect_skew(
-    dev: np.ndarray, ws: np.ndarray, target: float, a_hi: float
+    dev: np.ndarray, ws: np.ndarray, second: float, target: float, a_hi: float
 ) -> tuple[float, bool]:
     """Solve ``_clamped_shift(dev, ws, a) == target`` for ``a in (0, a_hi]``
-    by bisection.
+    by bisection; ``second = E[d^2]`` is the variance.
 
     The shift is bounded above by ``a * E[d^2]``, so ``target / E[d^2]`` is a
     valid lower bracket; when no atom is clamped the bound is an equality and
     the solve finishes immediately.  Returns ``(a_hi, True)`` if even the
     upper endpoint falls short, which cannot happen in-regime.
     """
-    second = math.fsum((ws * dev * dev).tolist())
     tol = BISECT_RTOL * target
 
     if _clamped_shift(dev, ws, a_hi) < target - tol:
@@ -235,7 +223,9 @@ def construct_q(p: AtomicDistribution, n: float, delta: float) -> AdversaryResul
         # Positions stay p's own, bitwise, as the support-sensitive ratio and
         # Hellinger checks require; only the masses are reweighted.
         dev = p.xs - stats.mu
-        a, saturated = _bisect_skew(dev, p.ws, target, root / stats.sigma_star)
+        a, saturated = _bisect_skew(
+            dev, p.ws, stats.var, target, root / stats.sigma_star
+        )
         clamp = np.clip(a * dev, -1.0, 1.0)
         plus, minus = p.ws * (1.0 + clamp), p.ws * (1.0 - clamp)
         mass_plus, mass_minus = math.fsum(plus.tolist()), math.fsum(minus.tolist())

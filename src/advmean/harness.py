@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adversary import RegimeFlags, construct_q, pair_diagnostics, require_regime
+from .adversary import construct_q, pair_diagnostics, regime_flags, require_regime
 from .distribution import (
     AtomicDistribution,
     CoreStats,
@@ -64,58 +64,6 @@ class TrialConfig:
             raise DomainError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
-@dataclass(frozen=True)
-class Condition:
-    name: str
-    measured: float
-    bound: float
-    direction: str  # "ge" or "le"
-
-    @property
-    def passed(self) -> bool:
-        if self.direction == "ge":
-            return self.measured >= self.bound
-        return self.measured <= self.bound
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "measured": self.measured,
-            "bound": self.bound,
-            "direction": self.direction,
-            "pass": self.passed,
-        }
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    """Pass/fail record for one verified claim.
-
-    ``passed`` is the conjunction of the condition checks (vacuously true on
-    a degenerate input, which carries its own flag so callers can refuse it).
-    """
-
-    claim: str
-    conditions: tuple[Condition, ...]
-    regime: RegimeFlags
-    degenerate: bool = False
-    meta: dict | None = None
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.conditions)
-
-    def to_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "conditions": [c.to_dict() for c in self.conditions],
-            "pass": self.passed,
-            "degenerate": self.degenerate,
-            "regime": self.regime.to_dict(),
-            "meta": self.meta or {},
-        }
-
-
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
@@ -150,11 +98,45 @@ def sample(d: AtomicDistribution, count: int, stream: np.random.Generator) -> np
 # ---------------------------------------------------------------------------
 # Claim verifiers
 # ---------------------------------------------------------------------------
+#
+# A verifier returns its report as the plain dict the CLI serializes:
+# ``claim``, ``conditions``, ``pass``, ``degenerate``, ``regime`` and
+# ``meta``.  Each condition is ``{name, measured, bound, direction, pass}``
+# with ``direction`` "ge" or "le".
 
 
-def _closeness_conditions(
-    diag: dict, n: int, delta: float
-) -> tuple[Condition, Condition]:
+def _condition(name: str, measured: float, bound: float, direction: str) -> dict:
+    passed = measured >= bound if direction == "ge" else measured <= bound
+    return {
+        "name": name,
+        "measured": measured,
+        "bound": bound,
+        "direction": direction,
+        "pass": passed,
+    }
+
+
+def _report(
+    claim: str,
+    regime: dict,
+    conditions: tuple[dict, ...] = (),
+    meta: dict | None = None,
+    degenerate: bool = False,
+) -> dict:
+    """``pass`` is the conjunction of the condition checks (vacuously true on
+    a degenerate input, which carries its own flag so callers can refuse
+    it)."""
+    return {
+        "claim": claim,
+        "conditions": list(conditions),
+        "pass": all(c["pass"] for c in conditions),
+        "degenerate": degenerate,
+        "regime": regime,
+        "meta": meta or {},
+    }
+
+
+def _closeness_conditions(diag: dict, n: int, delta: float) -> tuple[dict, dict]:
     """The ``hellinger_closeness`` condition ``log(1 - h_sq) >= log(4 delta)
     / (2n)``, its left side ``-inf`` once ``h_sq`` reaches 1, and the
     ``density_ratio`` condition ``sup dq/dp <= 2``."""
@@ -162,18 +144,18 @@ def _closeness_conditions(
     log_one_minus = math.log(one_minus) if one_minus > 0.0 else -math.inf
     rhs = math.log(4.0 * delta) / (2.0 * n)
     return (
-        Condition("hellinger_closeness", log_one_minus, rhs - HELLINGER_TOL, "ge"),
-        Condition("density_ratio", diag["sup_ratio"], 2.0 + RATIO_TOL, "le"),
+        _condition("hellinger_closeness", log_one_minus, rhs - HELLINGER_TOL, "ge"),
+        _condition("density_ratio", diag["sup_ratio"], 2.0 + RATIO_TOL, "le"),
     )
 
 
 def _pair_conditions(
     q: AtomicDistribution, n: int, delta: float, stats: CoreStats, diag: dict
-) -> tuple[Condition, ...]:
+) -> tuple[dict, ...]:
     eps_p = stats.eps
     closeness, ratio = _closeness_conditions(diag, n, delta)
     return (
-        Condition(
+        _condition(
             "mean_separation",
             diag["mean_shift"],
             eps_p / 32.0 - MEAN_SHIFT_TOL,
@@ -181,13 +163,13 @@ def _pair_conditions(
         ),
         closeness,
         ratio,
-        Condition(
+        _condition(
             "variance_doubling",
             variance(q),
             2.0 * stats.var + VARIANCE_TOL * (1.0 + stats.var),
             "le",
         ),
-        Condition(
+        _condition(
             "estimator_separation",
             diag["mean_shift"],
             2.0 * (eps_p / 64.0) - MEAN_SHIFT_TOL,
@@ -196,22 +178,15 @@ def _pair_conditions(
     )
 
 
-def pair_conditions(
+def verify_pair(
     p: AtomicDistribution, q: AtomicDistribution, n: int, delta: float
-) -> tuple[Condition, ...]:
-    """The separation/indistinguishability conditions for an explicit pair."""
+) -> dict:
+    """The separation/indistinguishability report for an explicit pair.  The
+    regime flags are reported, never enforced."""
+    flags = regime_flags(n, delta)
     stats = core_stats(p, n, delta)
-    return _pair_conditions(q, n, delta, stats, pair_diagnostics(p, q, stats))
-
-
-def _degenerate_report(claim: str, flags: RegimeFlags, exc: Exception) -> VerificationReport:
-    return VerificationReport(
-        claim=claim,
-        conditions=(),
-        regime=flags,
-        degenerate=True,
-        meta={"reason": str(exc)},
-    )
+    conditions = _pair_conditions(q, n, delta, stats, pair_diagnostics(p, q, stats))
+    return _report("indistinguishable_pair", flags, conditions, {"mode": "pair"})
 
 
 def verify_theorem(
@@ -220,21 +195,18 @@ def verify_theorem(
     delta: float,
     *,
     override_regime: bool = False,
-) -> VerificationReport:
+) -> dict:
     """Construct the partner of ``p`` and check the separation, Hellinger,
     density-ratio, and variance guarantees at their stated tolerances."""
     flags = require_regime(n, delta, override_regime)
     try:
         res = construct_q(p, n, delta)
     except DegenerateError as exc:
-        return _degenerate_report("indistinguishable_pair", flags, exc)
+        return _report(
+            "indistinguishable_pair", flags, meta={"reason": str(exc)}, degenerate=True
+        )
     conditions = _pair_conditions(res.q, n, delta, res.stats, res.diagnostics)
-    return VerificationReport(
-        claim="indistinguishable_pair",
-        conditions=conditions,
-        regime=flags,
-        meta=res.meta_dict(),
-    )
+    return _report("indistinguishable_pair", flags, conditions, res.meta_dict())
 
 
 def verify_neighborhood(
@@ -243,7 +215,7 @@ def verify_neighborhood(
     delta: float,
     *,
     override_regime: bool = False,
-) -> VerificationReport:
+) -> dict:
     """Check that the constructed partner lies in the neighborhood of ``p``:
     bounded error transfer at a third of the sample budget, Hellinger
     closeness, mean shift within the error bound, and density ratio at most 2.
@@ -253,19 +225,21 @@ def verify_neighborhood(
     try:
         res = construct_q(p, n, delta)
     except DegenerateError as exc:
-        return _degenerate_report("neighborhood_membership", flags, exc)
+        return _report(
+            "neighborhood_membership", flags, meta={"reason": str(exc)}, degenerate=True
+        )
     eps_p, diag = res.stats.eps, res.diagnostics
     eps_q_shrunk = epsilon(res.q, n / SAMPLE_SHRINK, delta)
     closeness, ratio = _closeness_conditions(diag, n, delta)
     conditions = (
-        Condition(
+        _condition(
             "error_transfer",
             eps_q_shrunk,
             ERROR_TRANSFER_FACTOR * eps_p + ERROR_TRANSFER_TOL,
             "le",
         ),
         closeness,
-        Condition(
+        _condition(
             "mean_shift_within",
             diag["mean_shift"],
             eps_p + SHIFT_UPPER_TOL,
@@ -276,12 +250,7 @@ def verify_neighborhood(
     meta = res.meta_dict()
     meta["composite_bound_p"] = min(epsilon(p, n / SAMPLE_SHRINK, delta), eps_p)
     meta["composite_bound_q"] = min(eps_q_shrunk, epsilon(res.q, n, delta))
-    return VerificationReport(
-        claim="neighborhood_membership",
-        conditions=conditions,
-        regime=flags,
-        meta=meta,
-    )
+    return _report("neighborhood_membership", flags, conditions, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -355,19 +324,15 @@ def lr_test_error(
         raise DomainError("trial count must be even (half per source)")
     table_p, table_q = _log_ratio_tables(p, q)
     half = cfg.trials // 2
-
-    def lam_of(values: np.ndarray) -> float:
-        if np.all(np.isfinite(values)):
-            return math.fsum(values.tolist())
-        return float(np.sum(values))
-
     cum_p, cum_q = _cdf(p), _cdf(q)
 
     def one_trial(t: int) -> bool:
         from_p = t < half
         cum, table = (cum_p, table_p) if from_p else (cum_q, table_q)
         stream = trial_stream(cfg.seed, t)
-        lam = lam_of(table[_draw(cum, cfg.n, stream)])
+        # fsum is -inf or +inf once any term is; table_p holds no +inf and
+        # table_q no -inf, so one trial never sums both.
+        lam = math.fsum(table[_draw(cum, cfg.n, stream)].tolist())
         if lam == 0.0:
             decide_q = stream.random() < 0.5
         else:

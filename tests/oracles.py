@@ -4,7 +4,15 @@ import math
 
 import numpy as np
 
-from advmean import AtomicDistribution, DomainError, Sign, TrimResult, mean
+from advmean import (
+    AtomicDistribution,
+    DomainError,
+    Sign,
+    TrimResult,
+    mean,
+    sample,
+    trial_stream,
+)
 from advmean.distribution import align
 
 
@@ -83,3 +91,37 @@ def brute_force_trim(d: AtomicDistribution, t: float) -> TrimResult:
     ]
     trimmed = AtomicDistribution([x for x, _ in kept_atoms], [w for _, w in kept_atoms])
     return TrimResult(trimmed, radius, np.array(fractions), float(t))
+
+
+def log_ratio(wp, wq):
+    if wq == 0.0:
+        return -math.inf
+    if wp == 0.0:
+        return math.inf
+    return math.log(wq / wp)
+
+
+def lr_wrong_reversed(p, q, cfg):
+    """Reference LR test, recomputed last trial first: the first half of the
+    trials draws from p, the rest from q, and each draw contributes the log
+    ratio of the two masses at its position."""
+    mass_p = dict(zip(p.xs.tolist(), p.ws.tolist()))
+    mass_q = dict(zip(q.xs.tolist(), q.ws.tolist()))
+    table_p, table_q = (
+        np.array([log_ratio(mass_p.get(x, 0.0), mass_q.get(x, 0.0)) for x in d.xs.tolist()])
+        for d in (p, q)
+    )
+    wrong = []
+    for t in reversed(range(cfg.trials)):
+        from_p = t < cfg.trials // 2
+        source, table = (p, table_p) if from_p else (q, table_q)
+        stream = trial_stream(cfg.seed, t)
+        draws = sample(source, cfg.n, stream)
+        terms = table[np.searchsorted(source.xs, draws)]
+        if np.all(np.isfinite(terms)):
+            lam = math.fsum(terms.tolist())
+        else:
+            lam = float(np.sum(terms))
+        decide_q = stream.random() < 0.5 if lam == 0.0 else lam > 0.0
+        wrong.append(decide_q if from_p else not decide_q)
+    return wrong[::-1]

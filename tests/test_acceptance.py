@@ -30,7 +30,7 @@ from advmean import (
 )
 from advmean import corpus
 
-from oracles import bhattacharyya, brute_force_trim, skew_masses
+from oracles import bhattacharyya, brute_force_trim, lr_wrong_reversed, skew_masses
 
 N_GRID = [10**3, 10**4, 10**5]
 DELTA_GRID = [0.05, 0.01, 0.001]
@@ -55,7 +55,7 @@ def test_criterion_1_pair_guarantees_on_grid():
     for (name, d), (n, delta) in itertools.product(MEMBERS.items(), grid()):
         cells += 1
         rep = verify_theorem(d, n, delta)
-        if rep.degenerate or not rep.passed:
+        if rep["degenerate"] or not rep["pass"]:
             failures.append((name, n, delta))
     report(
         1,
@@ -89,7 +89,7 @@ def test_criterion_3_neighborhood_on_grid():
     for (name, d), (n, delta) in itertools.product(MEMBERS.items(), grid()):
         cells += 1
         rep = verify_neighborhood(d, n, delta)
-        if rep.degenerate or not rep.passed:
+        if rep["degenerate"] or not rep["pass"]:
             failures.append((name, n, delta))
     report(
         3,
@@ -226,40 +226,6 @@ def _mom_fails_reversed(p, cfg, mu_p, bound):
     return fails
 
 
-def _log_ratio(wp, wq):
-    if wq == 0.0:
-        return -math.inf
-    if wp == 0.0:
-        return math.inf
-    return math.log(wq / wp)
-
-
-def _lr_wrong_reversed(p, q, cfg):
-    """Reference LR test, recomputed last trial first: the first half of the
-    trials draws from p, the rest from q, and each draw contributes the log
-    ratio of the two masses at its position."""
-    mass_p = dict(zip(p.xs.tolist(), p.ws.tolist()))
-    mass_q = dict(zip(q.xs.tolist(), q.ws.tolist()))
-    table_p, table_q = (
-        np.array([_log_ratio(mass_p.get(x, 0.0), mass_q.get(x, 0.0)) for x in d.xs.tolist()])
-        for d in (p, q)
-    )
-    wrong = []
-    for t in reversed(range(cfg.trials)):
-        from_p = t < cfg.trials // 2
-        source, table = (p, table_p) if from_p else (q, table_q)
-        stream = trial_stream(cfg.seed, t)
-        draws = sample(source, cfg.n, stream)
-        terms = table[np.searchsorted(source.xs, draws)]
-        if np.all(np.isfinite(terms)):
-            lam = math.fsum(terms.tolist())
-        else:
-            lam = float(np.sum(terms))
-        decide_q = stream.random() < 0.5 if lam == 0.0 else lam > 0.0
-        wrong.append(decide_q if from_p else not decide_q)
-    return wrong[::-1]
-
-
 def test_criterion_9_trial_outcomes_depend_only_on_seed_and_index():
     # Every trial of the criterion-4 and criterion-5 reports is recomputed on
     # its own, last trial first; the rates must match the reports exactly.
@@ -270,7 +236,7 @@ def test_criterion_9_trial_outcomes_depend_only_on_seed_and_index():
             mismatches.append(("bench_mom", name))
     half = LR_CFG.trials // 2
     for name, rep in _lr_reports().items():
-        wrong = _lr_wrong_reversed(*_lr_pairs()[name], LR_CFG)
+        wrong = lr_wrong_reversed(*_lr_pairs()[name], LR_CFG)
         rates = (sum(wrong[:half]) / half, sum(wrong[half:]) / half)
         if rates != (rep["type_i"], rep["type_ii"]):
             mismatches.append(("lr_test_error", name))

@@ -114,6 +114,28 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "line 1" in err and "column" in err
 
+    @pytest.mark.parametrize(
+        "n, delta, extra, regime",
+        [("1000", "0.05", [], {"delta_ok": True, "ratio_ok": True}),
+         ("100", "0.3", ["--override-regime"], {"delta_ok": False, "ratio_ok": False})],
+        ids=["in-regime", "override"],
+    )
+    def test_pair_report_fields(self, n, delta, extra, regime, two_point_file, tmp_path):
+        out = tmp_path / "report.json"
+        run(
+            "verify", "--in", two_point_file, "--pair", two_point_file,
+            "--n", n, "--delta", delta, *extra, "--out", str(out),
+        )
+        report = json.loads(out.read_text())
+        assert report["claim"] == "indistinguishable_pair"
+        assert report["regime"] == regime
+        assert report["meta"] == {"mode": "pair", "pair_file": two_point_file}
+        assert not report["degenerate"]
+        assert [c["name"] for c in report["conditions"]] == [
+            "mean_separation", "hellinger_closeness", "density_ratio",
+            "variance_doubling", "estimator_separation",
+        ]
+
     def test_pair_round_trip(self, two_point_file, tmp_path):
         q_path = tmp_path / "q.json"
         report_a = tmp_path / "a.json"
@@ -136,6 +158,27 @@ class TestVerify:
         built_measured = {c["name"]: c["measured"] for c in constructed["conditions"]}
         for name, value in built_measured.items():
             assert pair_measured[name] == pytest.approx(value, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "sub, claim",
+    [("verify", "indistinguishable_pair"), ("neighborhood", "neighborhood_membership")],
+)
+def test_point_mass_report(sub, claim, point_mass_file, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert run(
+        sub, "--in", point_mass_file, "--n", "1000", "--delta", "0.05", "--out", str(out)
+    ) == 3
+    reason = "a point mass has no distinct indistinguishable partner"
+    assert capsys.readouterr().err == f"refused: degenerate input ({reason})\n"
+    assert json.loads(out.read_text()) == {
+        "claim": claim,
+        "conditions": [],
+        "pass": True,
+        "degenerate": True,
+        "regime": {"delta_ok": True, "ratio_ok": True},
+        "meta": {"reason": reason},
+    }
 
 
 class TestNeighborhood:
@@ -207,6 +250,21 @@ class TestBenchAndDistinguish:
         assert run(*bench) == 2
         assert "ADVMEAN_SEED" in capsys.readouterr().err
         assert run(*bench, "--seed", "3") == 0
+
+    @pytest.mark.parametrize("sub", ["bench-mom", "distinguish"])
+    def test_override_regime_not_accepted(self, sub, two_point_file, capsys):
+        # The Monte-Carlo subcommands never consult the regime, so they do not
+        # offer the flag.
+        pair = ["--pair", two_point_file] if sub == "distinguish" else []
+        with pytest.raises(SystemExit) as err:
+            run(
+                sub, "--in", two_point_file, *pair, "--n", "140", "--delta", "0.05",
+                "--trials", "2", "--override-regime",
+            )
+        assert err.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: unrecognized arguments: --override-regime\n"
+        )
 
     def test_bench_mom_too_few_samples(self, two_point_file, capsys):
         code = run("bench-mom", "--in", two_point_file, "--n", "5", "--delta", "0.05")

@@ -6,16 +6,13 @@ PUBLIC_NAMES = {
     "AdversaryResult",
     "AtomicDistribution",
     "Case",
-    "Condition",
     "DegenerateError",
     "DomainError",
     "InsufficientSamplesError",
     "RegimeError",
-    "RegimeFlags",
     "Sign",
     "TrialConfig",
     "TrimResult",
-    "VerificationReport",
     "asymptotic_scan",
     "bench_mom",
     "construct_q",
