@@ -18,13 +18,13 @@ def main():
     print(f"partner construction at n = {N}, delta = {DELTA}\n")
     for name, d in corpus.all_members().items():
         res = construct_q(d, N, DELTA)
-        diag = res.diagnostics
-        print(f"{name} -> branch: {res.case.value}")
-        if res.lam is not None:
-            print(f"  mixing weight lambda = {res.lam}")
+        meta, diag = res.meta, res.meta["diagnostics"]
+        print(f"{name} -> branch: {meta['case']}")
+        if meta["lambda"] is not None:
+            print(f"  mixing weight lambda = {meta['lambda']}")
         else:
-            print(f"  skew slope a = {res.a:.6g}, sign = {res.sign.value}, "
-                  f"rescale b = {res.b:.12g}")
+            print(f"  skew slope a = {meta['a']:.6g}, sign = {meta['sign']}, "
+                  f"rescale b = {meta['b']:.12g}")
         print(f"  |mu_q - mu_p| = {diag['mean_shift']:.6g} "
               f"(error bound eps = {diag['epsilon_p']:.6g}, "
               f"eps/32 = {diag['epsilon_p'] / 32:.6g})")

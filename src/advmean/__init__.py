@@ -4,8 +4,6 @@ are the package's public surface."""
 
 from .adversary import (
     AdversaryResult,
-    Case,
-    Sign,
     construct_q,
     density_ratio,
 )

@@ -23,6 +23,11 @@ small-parameter regime ``delta <= REGIME_DELTA_MAX`` and
 ``log(1/delta)/n <= REGIME_RATIO_MAX``; outside it, results carry regime
 flags and nothing is promised.
 
+The outcome is recorded once, as the ``meta`` dict that reports carry: its
+keys are ``case`` (``"large_mean_shift"`` or ``"small_mean_shift"``),
+``lambda``, ``a``, ``sign`` (``"plus"`` or ``"minus"``), ``b``,
+``saturated``, ``regime`` and ``diagnostics``.
+
 :func:`density_ratio` measures a built pair's sup ``dq/dp`` as one float.
 """
 
@@ -30,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -53,18 +57,6 @@ REGIME_RATIO_MAX = 0.01
 MEAN_SHIFT_TARGET_COEFF = 1.0 / 8.0
 BISECT_MAX_ITER = 200
 BISECT_RTOL = 1e-10
-
-
-class Case(Enum):
-    """Which branch built the partner distribution."""
-
-    LARGE_MEAN_SHIFT = "large_mean_shift"
-    SMALL_MEAN_SHIFT = "small_mean_shift"
-
-
-class Sign(Enum):
-    PLUS = "plus"
-    MINUS = "minus"
 
 
 def regime_flags(n: float, delta: float) -> dict:
@@ -91,38 +83,23 @@ def require_regime(n: float, delta: float, override_regime: bool) -> dict:
 
 @dataclass(frozen=True)
 class AdversaryResult:
-    """The partner distribution plus construction parameters.
+    """The partner ``q``, its construction record ``meta``, and ``p``'s core
+    statistics ``stats`` (kept for the verifiers, never serialized).
 
-    Case-specific fields are ``None`` on the other branch.  ``diagnostics``
-    records measured values (error bound, means, mean shift, sup ratio,
-    squared Hellinger distance); ``saturated`` marks a skew solve that hit
-    the bracket's upper endpoint without reaching the target, which can only
-    happen outside the asserted regime.  ``stats`` holds ``p``'s core
-    statistics for reuse by the verifiers; it is not serialized.
+    ``meta`` holds ``case``; the mixing weight ``lambda`` (large gap); the
+    skew slope ``a``, ``sign`` and rescale ``b`` (small gap), each ``None`` on
+    the other branch; ``saturated``, set when the skew solve stopped at the
+    bracket's upper end short of its target (possible only outside the
+    regime); the ``regime`` flags; and ``diagnostics`` (:func:`pair_diagnostics`).
     """
 
     q: AtomicDistribution
-    case: Case
-    lam: float | None
-    a: float | None
-    sign: Sign | None
-    b: float | None
-    diagnostics: dict
-    regime: dict
+    meta: dict
     stats: CoreStats = field(repr=False, compare=False)
-    saturated: bool = False
 
     def meta_dict(self) -> dict:
-        return {
-            "case": self.case.value,
-            "lambda": self.lam,
-            "a": self.a,
-            "sign": self.sign.value if self.sign is not None else None,
-            "b": self.b,
-            "saturated": self.saturated,
-            "regime": dict(self.regime),
-            "diagnostics": dict(self.diagnostics),
-        }
+        """A copy of ``meta``, nested dicts included, for the caller to extend."""
+        return {k: dict(v) if isinstance(v, dict) else v for k, v in self.meta.items()}
 
 
 def _clamped_shift(dev: np.ndarray, ws: np.ndarray, a: float) -> float:
@@ -193,31 +170,32 @@ def pair_diagnostics(
     }
 
 
-def construct_q(p: AtomicDistribution, n: float, delta: float) -> AdversaryResult:
-    """Build the adversarial partner of ``p`` for the budget ``(n, delta)``.
-
-    A single-atom ``p``, or one whose trimmed core is a point mass sitting
-    exactly at the mean, admits no partner (the error bound is zero) and
-    raises :class:`DegenerateError`.
-    """
-    flags = regime_flags(n, delta)
-    stats = core_stats(p, n, delta)
+def _require_partner(p: AtomicDistribution, stats: CoreStats) -> None:
+    """Raise :class:`DegenerateError` when ``p`` admits no partner at the
+    budget behind ``stats``: a single atom, or a trimmed core that is a point
+    mass sitting exactly at the mean.  Either way the error bound is zero."""
     if p.num_atoms == 1:
         raise DegenerateError("a point mass has no distinct indistinguishable partner")
+    if stats.gap <= stats.threshold and stats.sigma_star <= 0.0:
+        raise DegenerateError(
+            "trimmed core is a point mass at the mean; no skew target"
+        )
 
+
+def construct_q(p: AtomicDistribution, n: float, delta: float) -> AdversaryResult:
+    """Build the adversarial partner of ``p`` for the budget ``(n, delta)``;
+    a ``p`` that admits none raises :class:`DegenerateError`."""
+    flags = regime_flags(n, delta)
+    stats = core_stats(p, n, delta)
+    _require_partner(p, stats)
+
+    lam = a = sign = b = None
     saturated = False
     if stats.gap > stats.threshold:
-        case = Case.LARGE_MEAN_SHIFT
-        lam: float | None = 0.75
-        a = sign = b = None
+        case, lam = "large_mean_shift", 0.75
         q = mixture(p, stats.core, lam)
     else:
-        case = Case.SMALL_MEAN_SHIFT
-        lam = None
-        if stats.sigma_star <= 0.0:
-            raise DegenerateError(
-                "trimmed core is a point mass at the mean; no skew target"
-            )
+        case = "small_mean_shift"
         root = math.sqrt(math.log(1.0 / delta) / n)
         target = MEAN_SHIFT_TARGET_COEFF * stats.sigma_star * root
         # Positions stay p's own, bitwise, as the support-sensitive ratio and
@@ -230,22 +208,20 @@ def construct_q(p: AtomicDistribution, n: float, delta: float) -> AdversaryResul
         plus, minus = p.ws * (1.0 + clamp), p.ws * (1.0 - clamp)
         mass_plus, mass_minus = math.fsum(plus.tolist()), math.fsum(minus.tolist())
         if mass_plus >= mass_minus:
-            sign, ws, mass = Sign.PLUS, plus, mass_plus
+            sign, ws, mass = "plus", plus, mass_plus
         else:
-            sign, ws, mass = Sign.MINUS, minus, mass_minus
+            sign, ws, mass = "minus", minus, mass_minus
         keep = ws > 0.0
         q, b = AtomicDistribution(p.xs[keep], ws[keep] / mass), 1.0 / mass
 
-    return AdversaryResult(
-        q=q,
-        case=case,
-        lam=lam,
-        a=a,
-        sign=sign,
-        b=b,
-        diagnostics=pair_diagnostics(p, q, stats),
-        regime=flags,
-        stats=stats,
-        saturated=saturated,
-    )
-
+    meta = {
+        "case": case,
+        "lambda": lam,
+        "a": a,
+        "sign": sign,
+        "b": b,
+        "saturated": saturated,
+        "regime": flags,
+        "diagnostics": pair_diagnostics(p, q, stats),
+    }
+    return AdversaryResult(q, meta, stats)

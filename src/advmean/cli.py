@@ -50,7 +50,10 @@ def _json_bytes(obj) -> str:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+        try:
+            Path(out_path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise DomainError(f"{out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -109,8 +112,7 @@ def _cmd_construct(args) -> int:
     p = _load(args.infile)
     _regime(args)
     res = construct_q(p, args.n, args.delta)
-    payload = distribution_to_dict(res.q)
-    payload["meta"] = res.meta_dict()
+    payload = {**distribution_to_dict(res.q), "meta": res.meta}
     _emit(_json_bytes(payload), args.out)
     return EXIT_PASS
 

@@ -200,19 +200,15 @@ def check_budget(n: float, delta: float) -> None:
         raise DomainError(f"failure probability must lie in (0, 1), got {delta!r}")
 
 
-def trim_fraction(n: float, delta: float) -> float:
-    """The standard trimmed mass ``TRIM_COEFF * log(1/delta) / n``.
+def standard_trim(d: AtomicDistribution, n: float, delta: float) -> TrimResult:
+    """Trim the standard mass ``TRIM_COEFF * log(1/delta) / n`` for the given
+    sample budget.
 
     ``n`` may be any positive real; fractional values arise when the error
     bound is evaluated at a scaled-down sample count.
     """
     check_budget(n, delta)
-    return TRIM_COEFF * math.log(1.0 / delta) / n
-
-
-def standard_trim(d: AtomicDistribution, n: float, delta: float) -> TrimResult:
-    """Trim the standard fraction of mass for the given sample budget."""
-    t = trim_fraction(n, delta)
+    t = TRIM_COEFF * math.log(1.0 / delta) / n
     if t >= 1.0:
         raise DomainError(
             f"trimmed mass {t!r} >= 1 (n={n!r}, delta={delta!r} is too aggressive)"

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adversary import construct_q, pair_diagnostics, regime_flags, require_regime
+from .adversary import _require_partner, construct_q, pair_diagnostics, require_regime
 from .distribution import (
     AtomicDistribution,
     CoreStats,
@@ -116,23 +116,17 @@ def _condition(name: str, measured: float, bound: float, direction: str) -> dict
     }
 
 
-def _report(
-    claim: str,
-    regime: dict,
-    conditions: tuple[dict, ...] = (),
-    meta: dict | None = None,
-    degenerate: bool = False,
-) -> dict:
-    """``pass`` is the conjunction of the condition checks (vacuously true on
-    a degenerate input, which carries its own flag so callers can refuse
-    it)."""
+def _report(claim: str, regime: dict, conditions: tuple, meta: dict) -> dict:
+    """``pass`` is the conjunction of the condition checks.  A report whose
+    ``meta`` gives a ``reason`` is degenerate: it has no conditions, so
+    ``pass`` holds vacuously, and callers refuse it by its flag."""
     return {
         "claim": claim,
         "conditions": list(conditions),
         "pass": all(c["pass"] for c in conditions),
-        "degenerate": degenerate,
+        "degenerate": "reason" in meta,
         "regime": regime,
-        "meta": meta or {},
+        "meta": meta,
     }
 
 
@@ -182,9 +176,15 @@ def verify_pair(
     p: AtomicDistribution, q: AtomicDistribution, n: int, delta: float
 ) -> dict:
     """The separation/indistinguishability report for an explicit pair.  The
-    regime flags are reported, never enforced."""
-    flags = regime_flags(n, delta)
+    regime flags are reported, never enforced; a ``p`` that
+    :func:`construct_q` would refuse gets the degenerate report."""
+    flags = require_regime(n, delta, override_regime=True)
     stats = core_stats(p, n, delta)
+    try:
+        _require_partner(p, stats)
+    except DegenerateError as exc:
+        meta = {"mode": "pair", "reason": str(exc)}
+        return _report("indistinguishable_pair", flags, (), meta)
     conditions = _pair_conditions(q, n, delta, stats, pair_diagnostics(p, q, stats))
     return _report("indistinguishable_pair", flags, conditions, {"mode": "pair"})
 
@@ -202,10 +202,8 @@ def verify_theorem(
     try:
         res = construct_q(p, n, delta)
     except DegenerateError as exc:
-        return _report(
-            "indistinguishable_pair", flags, meta={"reason": str(exc)}, degenerate=True
-        )
-    conditions = _pair_conditions(res.q, n, delta, res.stats, res.diagnostics)
+        return _report("indistinguishable_pair", flags, (), {"reason": str(exc)})
+    conditions = _pair_conditions(res.q, n, delta, res.stats, res.meta["diagnostics"])
     return _report("indistinguishable_pair", flags, conditions, res.meta_dict())
 
 
@@ -225,10 +223,8 @@ def verify_neighborhood(
     try:
         res = construct_q(p, n, delta)
     except DegenerateError as exc:
-        return _report(
-            "neighborhood_membership", flags, meta={"reason": str(exc)}, degenerate=True
-        )
-    eps_p, diag = res.stats.eps, res.diagnostics
+        return _report("neighborhood_membership", flags, (), {"reason": str(exc)})
+    eps_p, diag = res.stats.eps, res.meta["diagnostics"]
     eps_q_shrunk = epsilon(res.q, n / SAMPLE_SHRINK, delta)
     closeness, ratio = _closeness_conditions(diag, n, delta)
     conditions = (

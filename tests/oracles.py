@@ -7,7 +7,6 @@ import numpy as np
 from advmean import (
     AtomicDistribution,
     DomainError,
-    Sign,
     TrimResult,
     mean,
     sample,
@@ -45,13 +44,14 @@ def skew_masses(p: AtomicDistribution, a: float) -> tuple[list, list]:
 def skew_partner(p: AtomicDistribution, a: float):
     """The small-gap partner at slope ``a`` by the per-atom formula: the
     heavier of the two skewed measures by ``fsum`` total (plus on a tie),
-    zero-mass atoms dropped, rescaled to unit mass.  Returns ``(q, b, sign)``."""
+    zero-mass atoms dropped, rescaled to unit mass.  Returns ``(q, b, sign)``
+    with ``sign`` ``"plus"`` or ``"minus"``."""
     plus, minus = skew_masses(p, a)
     total_plus, total_minus = math.fsum(plus), math.fsum(minus)
     if total_plus >= total_minus:
-        sign, ws, total = Sign.PLUS, plus, total_plus
+        sign, ws, total = "plus", plus, total_plus
     else:
-        sign, ws, total = Sign.MINUS, minus, total_minus
+        sign, ws, total = "minus", minus, total_minus
     kept = [(x, w / total) for x, w in zip(p.xs.tolist(), ws) if w > 0.0]
     q = AtomicDistribution([x for x, _ in kept], [w for _, w in kept])
     return q, 1.0 / total, sign

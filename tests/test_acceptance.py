@@ -13,7 +13,6 @@ import numpy as np
 
 from advmean import (
     AtomicDistribution,
-    Case,
     TrialConfig,
     asymptotic_scan,
     bench_mom,
@@ -66,20 +65,20 @@ def test_criterion_1_pair_guarantees_on_grid():
 
 
 def test_criterion_2_worked_example_exactness():
-    case1 = construct_q(MEMBERS["two_point_asymmetric"], 1000, 0.05)
-    shift_ok = abs(case1.diagnostics["mean_shift"] - 0.25) <= 1e-12
-    ratio_ok = case1.diagnostics["sup_ratio"] <= 1.001
+    case1 = construct_q(MEMBERS["two_point_asymmetric"], 1000, 0.05).meta
+    shift_ok = abs(case1["diagnostics"]["mean_shift"] - 0.25) <= 1e-12
+    ratio_ok = case1["diagnostics"]["sup_ratio"] <= 1.001
 
-    case2 = construct_q(MEMBERS["two_point_symmetric"], 1000, 0.05)
+    case2 = construct_q(MEMBERS["two_point_symmetric"], 1000, 0.05).meta
     a_expected = (1 / 8) * math.sqrt(math.log(20.0) / 1000)
-    a_ok = abs(case2.a - a_expected) <= 1e-10
-    mu_ok = abs(case2.diagnostics["mean_shift"] - case2.a) <= 1e-12
+    a_ok = abs(case2["a"] - a_expected) <= 1e-10
+    mu_ok = abs(case2["diagnostics"]["mean_shift"] - case2["a"]) <= 1e-12
 
     report(
         2,
         "worked-example exactness",
         shift_ok and ratio_ok and a_ok and mu_ok,
-        f"shift={case1.diagnostics['mean_shift']!r}, a={case2.a!r}",
+        f"shift={case1['diagnostics']['mean_shift']!r}, a={case2['a']!r}",
     )
 
 
@@ -178,14 +177,14 @@ def test_criterion_7_trim_oracle_equivalence():
 def test_criterion_8_structural_identities():
     problems = []
     for (name, d), (n, delta) in itertools.product(MEMBERS.items(), grid()):
-        res = construct_q(d, n, delta)
-        if res.case is Case.SMALL_MEAN_SHIFT:
-            masses = [math.fsum(side) for side in skew_masses(d, res.a)]
+        meta = construct_q(d, n, delta).meta
+        if meta["case"] == "small_mean_shift":
+            masses = [math.fsum(side) for side in skew_masses(d, meta["a"])]
             if abs(sum(masses) - 2.0) > 1e-12:
                 problems.append(("mass-sum", name, n, delta))
-            if res.b != 1.0 / max(masses):
+            if meta["b"] != 1.0 / max(masses):
                 problems.append(("b-mass", name, n, delta))
-            if not 0.5 - 1e-12 <= res.b <= 1.0 + 1e-12:
+            if not 0.5 - 1e-12 <= meta["b"] <= 1.0 + 1e-12:
                 problems.append(("b-range", name, n, delta))
         else:
             core = standard_trim(d, n, delta).trimmed
@@ -193,7 +192,8 @@ def test_criterion_8_structural_identities():
                 math.fsum((d.ws * d.xs).tolist())
                 - math.fsum((core.ws * core.xs).tolist())
             )
-            if abs(res.diagnostics["mean_shift"] - gap / 4) > 1e-10 * max(gap, 1e-300):
+            shift = meta["diagnostics"]["mean_shift"]
+            if abs(shift - gap / 4) > 1e-10 * max(gap, 1e-300):
                 problems.append(("interpolation", name, n, delta))
 
     rng = np.random.default_rng(4242)

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 
@@ -7,9 +8,7 @@ from hypothesis import assume, given, settings
 
 from advmean import (
     AtomicDistribution,
-    Case,
     DegenerateError,
-    Sign,
     construct_q,
     density_ratio,
     mean,
@@ -55,23 +54,23 @@ class TestSolveSkew:
     """The skew slope solved inside :func:`construct_q`."""
 
     def test_two_point_closed_form(self, two_point):
-        a = construct_q(two_point, N, DELTA).a
+        a = construct_q(two_point, N, DELTA).meta["a"]
         assert a == pytest.approx((1 / 8) * math.sqrt(LOG_TERM / N), abs=1e-10)
 
     def test_larger_budget_closed_form(self, two_point):
-        a = construct_q(two_point, 10**4, DELTA).a
+        a = construct_q(two_point, 10**4, DELTA).meta["a"]
         assert a == pytest.approx((1 / 8) * math.sqrt(LOG_TERM / 10**4), abs=1e-10)
 
     def test_residual_identity(self, two_point):
-        a = construct_q(two_point, N, DELTA).a
+        a = construct_q(two_point, N, DELTA).meta["a"]
         core = standard_trim(two_point, N, DELTA).trimmed
         target = (1 / 8) * std(core) * math.sqrt(LOG_TERM / N)
         assert mean_shift(two_point, a) / target == pytest.approx(1.0, abs=1e-10)
 
     def test_rejects_dominant_mean_gap(self, asym_two_point):
         res = construct_q(asym_two_point, N, DELTA)
-        assert res.case is Case.LARGE_MEAN_SHIFT
-        assert res.a is None
+        assert res.meta["case"] == "large_mean_shift"
+        assert res.meta["a"] is None
 
     def test_degenerate_core(self):
         d = AtomicDistribution([-1.0, 0.0, 1.0], [0.0005, 0.999, 0.0005])
@@ -86,7 +85,7 @@ class TestSolveSkew:
         gap = abs(mean(d) - mean(core))
         assume(sigma_star > 0.0)
         assume(gap <= sigma_star * math.sqrt(4.5 * LOG_TERM / N))
-        a = construct_q(d, N, DELTA).a
+        a = construct_q(d, N, DELTA).meta["a"]
         assert 0.0 < a <= math.sqrt(LOG_TERM / N) / sigma_star * (1 + 1e-12)
         target = (1 / 8) * sigma_star * math.sqrt(LOG_TERM / N)
         assert mean_shift(d, a) == pytest.approx(target, rel=1e-9)
@@ -95,36 +94,39 @@ class TestSolveSkew:
 class TestConstructCase1:
     def test_worked_example(self, asym_two_point):
         res = construct_q(asym_two_point, N, DELTA)
-        assert res.case is Case.LARGE_MEAN_SHIFT
-        assert res.lam == 0.75
-        assert res.a is None and res.b is None and res.sign is None
+        meta, diag = res.meta, res.meta["diagnostics"]
+        assert meta["case"] == "large_mean_shift"
+        assert meta["lambda"] == 0.75
+        assert meta["a"] is None and meta["b"] is None and meta["sign"] is None
         assert res.q.atoms[0] == (0.0, pytest.approx(0.99925, abs=1e-15))
         assert res.q.atoms[1] == (1000.0, pytest.approx(0.00075, rel=1e-13))
-        assert res.diagnostics["mean_shift"] == pytest.approx(0.25, abs=1e-12)
-        assert res.diagnostics["epsilon_p"] == pytest.approx(1.0, abs=1e-12)
-        assert res.diagnostics["sup_ratio"] <= 1.001
-        assert res.diagnostics["mean_shift"] >= res.diagnostics["epsilon_p"] / 32
+        assert diag["mean_shift"] == pytest.approx(0.25, abs=1e-12)
+        assert diag["epsilon_p"] == pytest.approx(1.0, abs=1e-12)
+        assert diag["sup_ratio"] <= 1.001
+        assert diag["mean_shift"] >= diag["epsilon_p"] / 32
 
     def test_interpolation_identity(self, asym_two_point):
         res = construct_q(asym_two_point, N, DELTA)
         core = standard_trim(asym_two_point, N, DELTA).trimmed
         gap = abs(mean(core) - mean(asym_two_point))
-        assert res.diagnostics["mean_shift"] == pytest.approx(gap / 4, rel=1e-10)
+        shift = res.meta["diagnostics"]["mean_shift"]
+        assert shift == pytest.approx(gap / 4, rel=1e-10)
 
 
 class TestConstructCase2:
     def test_worked_example(self, two_point):
         res = construct_q(two_point, N, DELTA)
-        assert res.case is Case.SMALL_MEAN_SHIFT
-        assert res.sign is Sign.PLUS
-        assert res.b == 1.0
-        a = res.a
+        assert res.meta["case"] == "small_mean_shift"
+        assert res.meta["sign"] == "plus"
+        assert res.meta["b"] == 1.0
+        a = res.meta["a"]
         assert a == pytest.approx((1 / 8) * math.sqrt(LOG_TERM / N), abs=1e-10)
         assert res.q.ws.tolist() == pytest.approx(
             [0.5 * (1 - a), 0.5 * (1 + a)], abs=1e-15
         )
-        assert res.diagnostics["mean_shift"] == pytest.approx(a, abs=1e-12)
-        assert res.diagnostics["mean_shift"] >= res.diagnostics["epsilon_p"] / 32
+        diag = res.meta["diagnostics"]
+        assert diag["mean_shift"] == pytest.approx(a, abs=1e-12)
+        assert diag["mean_shift"] >= diag["epsilon_p"] / 32
 
     def test_degenerate_inputs(self):
         with pytest.raises(DegenerateError):
@@ -137,13 +139,27 @@ class TestConstructCase2:
             )
 
 
+class TestMetaDict:
+    @pytest.mark.parametrize("fixture", ["two_point", "asym_two_point"])
+    def test_copy_leaves_meta_unchanged(self, fixture, request):
+        res = construct_q(request.getfixturevalue(fixture), N, DELTA)
+        before = copy.deepcopy(res.meta)
+        meta = res.meta_dict()
+        assert meta == before
+        meta["extra"] = 1.0
+        meta["case"] = None
+        meta["regime"]["delta_ok"] = None
+        meta["diagnostics"]["mean_shift"] = None
+        assert res.meta == before
+
+
 class TestInvariance:
     @pytest.mark.parametrize("s", [0.5, -2.0, 3.0])
     @pytest.mark.parametrize("c", [-7.5, 0.0, 3.25])
     def test_case1_shift_scale(self, asym_two_point, s, c):
         base = construct_q(asym_two_point, N, DELTA)
         moved = construct_q(affine(asym_two_point, s, c), N, DELTA)
-        assert moved.case is base.case
+        assert moved.meta["case"] == base.meta["case"]
         expected = affine(base.q, s, c)
         assert np.array_equal(moved.q.xs, expected.xs)
         assert moved.q.ws == pytest.approx(expected.ws, rel=1e-10)
@@ -153,7 +169,7 @@ class TestInvariance:
     def test_case2_shift_scale(self, two_point, s, c):
         base = construct_q(two_point, N, DELTA)
         moved = construct_q(affine(two_point, s, c), N, DELTA)
-        assert moved.case is base.case
+        assert moved.meta["case"] == base.meta["case"]
         expected = affine(base.q, s, c)
         assert np.array_equal(moved.q.xs, expected.xs)
         assert moved.q.ws == pytest.approx(expected.ws, rel=1e-10)
@@ -165,8 +181,8 @@ class TestInvariance:
         p = AtomicDistribution([-1e6, 0.0, 1.0], [1e-9, 0.5, 0.499999999])
         base = construct_q(p, N, DELTA)
         mirrored = construct_q(affine(p, -1.0, 0.0), N, DELTA)
-        assert mirrored.case is base.case
-        assert {base.sign, mirrored.sign} == {Sign.PLUS, Sign.MINUS}
+        assert mirrored.meta["case"] == base.meta["case"]
+        assert {base.meta["sign"], mirrored.meta["sign"]} == {"plus", "minus"}
         expected = affine(base.q, -1.0, 0.0)
         assert np.array_equal(mirrored.q.xs, expected.xs)
         assert mirrored.q.ws == pytest.approx(expected.ws, rel=1e-10)
@@ -200,55 +216,56 @@ class TestStructuralProperties:
     @settings(max_examples=200)
     def test_construction_contracts(self, d):
         res = _case2_results(d)
-        assert not res.saturated
-        assert all(res.regime.values())
-        assert res.diagnostics["sup_ratio"] <= 2.0 + 1e-12
+        meta, diag = res.meta, res.meta["diagnostics"]
+        assert not meta["saturated"]
+        assert all(meta["regime"].values())
+        assert diag["sup_ratio"] <= 2.0 + 1e-12
         var_p = variance(d)
         assert variance(res.q) <= 2.0 * var_p + 1e-9 * (1.0 + var_p)
-        eps_p = res.diagnostics["epsilon_p"]
-        assert res.diagnostics["mean_shift"] <= eps_p + 1e-9
+        eps_p = diag["epsilon_p"]
+        assert diag["mean_shift"] <= eps_p + 1e-9
         core = standard_trim(d, N, DELTA).trimmed
         gap = abs(mean(d) - mean(core))
         rate = std(core) * math.sqrt(LOG_TERM / N)
-        if res.case is Case.LARGE_MEAN_SHIFT:
-            assert res.diagnostics["mean_shift"] == pytest.approx(gap / 4, rel=1e-10)
-            assert res.diagnostics["mean_shift"] >= eps_p / 8 - 1e-12
+        if meta["case"] == "large_mean_shift":
+            assert diag["mean_shift"] == pytest.approx(gap / 4, rel=1e-10)
+            assert diag["mean_shift"] >= eps_p / 8 - 1e-12
         else:
-            assert res.b is not None and 0.5 - 1e-12 <= res.b <= 1.0 + 1e-12
-            assert rate / 16 - 1e-9 * rate <= res.diagnostics["mean_shift"]
-            assert res.diagnostics["mean_shift"] <= rate / 8 + 1e-9 * rate
+            assert meta["b"] is not None and 0.5 - 1e-12 <= meta["b"] <= 1.0 + 1e-12
+            assert rate / 16 - 1e-9 * rate <= diag["mean_shift"]
+            assert diag["mean_shift"] <= rate / 8 + 1e-9 * rate
 
     @given(atomic_distributions(min_atoms=2))
     @settings(max_examples=150)
     def test_skew_masses_sum_to_two(self, d):
         res = _case2_results(d)
-        assume(res.case is Case.SMALL_MEAN_SHIFT)
-        masses = [math.fsum(side) for side in skew_masses(d, res.a)]
+        assume(res.meta["case"] == "small_mean_shift")
+        masses = [math.fsum(side) for side in skew_masses(d, res.meta["a"])]
         assert sum(masses) == pytest.approx(2.0, abs=1e-12)
-        assert res.b == 1.0 / max(masses)
+        assert res.meta["b"] == 1.0 / max(masses)
 
     @given(symmetric_distributions())
     @settings(max_examples=100)
     def test_symmetric_inputs_take_skew_branch(self, d):
         res = _case2_results(d)
-        assert res.case is Case.SMALL_MEAN_SHIFT
-        assert res.sign is Sign.PLUS  # balanced masses tie toward the plus skew
-        assert res.b == pytest.approx(1.0, abs=1e-12)
+        assert res.meta["case"] == "small_mean_shift"
+        assert res.meta["sign"] == "plus"  # balanced masses tie toward the plus skew
+        assert res.meta["b"] == pytest.approx(1.0, abs=1e-12)
 
     @given(atomic_distributions(min_atoms=2))
     @settings(max_examples=150)
     def test_hellinger_inequality_in_regime(self, d):
         res = _case2_results(d)
-        lhs = math.log1p(-res.diagnostics["hellinger_sq"])
+        lhs = math.log1p(-res.meta["diagnostics"]["hellinger_sq"])
         assert lhs >= math.log(4 * DELTA) / (2 * N) - 1e-12
 
 
 def assert_matches_per_atom_formula(d, res):
-    q, b, sign = skew_partner(d, res.a)
+    q, b, sign = skew_partner(d, res.meta["a"])
     assert np.array_equal(res.q.xs, q.xs)
     assert np.array_equal(res.q.ws, q.ws)
-    assert res.b == b
-    assert res.sign is sign
+    assert res.meta["b"] == b
+    assert res.meta["sign"] == sign
 
 
 class TestSkewStepMatchesPerAtomFormula:
@@ -262,7 +279,7 @@ class TestSkewStepMatchesPerAtomFormula:
         skew_cells = 0
         for n, delta in grid:
             res = construct_q(d, n, delta)
-            if res.case is Case.SMALL_MEAN_SHIFT:
+            if res.meta["case"] == "small_mean_shift":
                 assert_matches_per_atom_formula(d, res)
                 skew_cells += 1
         assert skew_cells > 0  # every member takes the skew branch somewhere
@@ -271,5 +288,5 @@ class TestSkewStepMatchesPerAtomFormula:
     @settings(max_examples=200)
     def test_random_inputs(self, d):
         res = _case2_results(d)
-        assume(res.case is Case.SMALL_MEAN_SHIFT)
+        assume(res.meta["case"] == "small_mean_shift")
         assert_matches_per_atom_formula(d, res)

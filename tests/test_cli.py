@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from advmean import AtomicDistribution, load_distribution
+from advmean import AtomicDistribution, construct_q, load_distribution
 from advmean.cli import main
 from advmean.distribution import distribution_to_dict
 
@@ -48,6 +48,17 @@ class TestConstruct:
         assert payload["meta"]["a"] == pytest.approx(0.006841660381389967, abs=1e-10)
         q = load_distribution(out)
         assert q.num_atoms == 2
+
+    @pytest.mark.parametrize("fixture", ["two_point_file", "asym_file"])
+    def test_out_meta_is_construct_q_meta(self, fixture, request, tmp_path):
+        path = request.getfixturevalue(fixture)
+        out = tmp_path / "q.json"
+        assert run(
+            "construct", "--in", path,
+            "--n", "1000", "--delta", "0.05", "--out", str(out),
+        ) == 0
+        res = construct_q(load_distribution(path), 1000, 0.05)
+        assert json.loads(out.read_text())["meta"] == res.meta
 
     def test_degenerate_input_refused(self, point_mass_file, tmp_path):
         code = run(
@@ -178,6 +189,32 @@ def test_point_mass_report(sub, claim, point_mass_file, tmp_path, capsys):
         "degenerate": True,
         "regime": {"delta_ok": True, "ratio_ok": True},
         "meta": {"reason": reason},
+    }
+
+
+@pytest.mark.parametrize(
+    "xs, ws, reason",
+    [([0.0], [1.0], "a point mass has no distinct indistinguishable partner"),
+     ([-1.0, 0.0, 1.0], [0.0005, 0.999, 0.0005],
+      "trimmed core is a point mass at the mean; no skew target")],
+    ids=["point-mass", "point-mass-core"],
+)
+def test_pair_degenerate_refused(xs, ws, reason, tmp_path, capsys):
+    # --pair applies the same degenerate rule as the constructed partner
+    path = write_distribution(tmp_path / "p.json", AtomicDistribution(xs, ws))
+    out = tmp_path / "report.json"
+    assert run(
+        "verify", "--in", path, "--pair", path,
+        "--n", "1000", "--delta", "0.05", "--out", str(out),
+    ) == 3
+    assert capsys.readouterr().err == f"refused: degenerate input ({reason})\n"
+    assert json.loads(out.read_text()) == {
+        "claim": "indistinguishable_pair",
+        "conditions": [],
+        "pass": True,
+        "degenerate": True,
+        "regime": {"delta_ok": True, "ratio_ok": True},
+        "meta": {"mode": "pair", "pair_file": path, "reason": reason},
     }
 
 
@@ -329,6 +366,21 @@ def test_unconvertible_atom_exit_two(atoms, named, tmp_path, capsys):
     assert run("verify", "--in", str(path), "--n", "1000", "--delta", "0.05") == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and named in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["gen", "--name", "pareto_15"],
+     ["verify", "--in", SAME, "--n", "1000", "--delta", "0.05"]],
+    ids=["gen", "verify"],
+)
+def test_unwritable_out_exit_two(argv, two_point_file, tmp_path, capsys):
+    out = tmp_path / "no" / "such" / "dir" / "x.json"
+    argv = [two_point_file if a == SAME else a for a in argv]
+    assert run(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}: ") and "No such file or directory" in err
+    assert not out.parent.exists()
 
 
 class TestScanAndGen:

@@ -116,8 +116,9 @@ class TestIndistinguishable:
         assert cond["pass"]
 
     def test_perfectly_distinguishable(self):
-        p = AtomicDistribution([0.0], [1.0])
-        q = AtomicDistribution([1.0], [1.0])
+        # p has two atoms: a point-mass p gets the degenerate report instead
+        p = AtomicDistribution([0.0, 1.0], [0.5, 0.5])
+        q = AtomicDistribution([2.0, 3.0], [0.5, 0.5])
         cond = self.closeness(p, q, 1000, 0.05)
         assert cond["measured"] == float("-inf")
         assert not cond["pass"]
@@ -151,8 +152,8 @@ class TestScaledMeasureMonotonicity:
 
     def test_case2_construction_linearization(self, two_point):
         res = construct_q(two_point, 1000, 0.05)
-        a = res.a
+        a = res.meta["a"]
         bound = 0.5 * math.fsum(
             min(1.0, (a * x) ** 2) * w for x, w in two_point.atoms
         )
-        assert res.diagnostics["hellinger_sq"] <= bound + 1e-12
+        assert res.meta["diagnostics"]["hellinger_sq"] <= bound + 1e-12

@@ -5,12 +5,10 @@ import advmean
 PUBLIC_NAMES = {
     "AdversaryResult",
     "AtomicDistribution",
-    "Case",
     "DegenerateError",
     "DomainError",
     "InsufficientSamplesError",
     "RegimeError",
-    "Sign",
     "TrialConfig",
     "TrimResult",
     "asymptotic_scan",
