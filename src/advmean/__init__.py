@@ -24,7 +24,6 @@ from .errors import (
     DegenerateError,
     DomainError,
     InsufficientSamplesError,
-    RegimeError,
 )
 from .estimators import group_count, median_of_means, sample_mean
 from .harness import (

@@ -18,10 +18,10 @@ Two cases, split on which term of the error bound dominates:
   the heavier (the plus sign on a tie) is kept and rescaled to unit mass by
   ``b = 1 / mass in [1/2, 1]``.
 
-Quantitative guarantees are only asserted downstream inside the
-small-parameter regime ``delta <= REGIME_DELTA_MAX`` and
-``log(1/delta)/n <= REGIME_RATIO_MAX``; outside it, results carry regime
-flags and nothing is promised.
+Quantitative guarantees are only asserted inside the small-parameter
+regime ``delta <= REGIME_DELTA_MAX`` and ``log(1/delta)/n <= REGIME_RATIO_MAX``.
+The library never enforces it: :func:`regime_flags` reports each bound, every
+result carries those flags, and only the CLI refuses a run outside the regime.
 
 The outcome is recorded once, as the ``meta`` dict that reports carry: its
 keys are ``case`` (``"large_mean_shift"`` or ``"small_mean_shift"``),
@@ -48,7 +48,7 @@ from .distribution import (
     mixture,
 )
 from .divergence import hellinger_sq
-from .errors import DegenerateError, RegimeError
+from .errors import DegenerateError
 
 REGIME_DELTA_MAX = 0.1
 REGIME_RATIO_MAX = 0.01
@@ -67,18 +67,6 @@ def regime_flags(n: float, delta: float) -> dict:
         "delta_ok": delta <= REGIME_DELTA_MAX,
         "ratio_ok": math.log(1.0 / delta) / n <= REGIME_RATIO_MAX,
     }
-
-
-def require_regime(n: float, delta: float, override_regime: bool) -> dict:
-    """The regime flags of ``(n, delta)``; outside the asserted regime this
-    raises :class:`RegimeError` unless ``override_regime`` is set."""
-    flags = regime_flags(n, delta)
-    if not all(flags.values()) and not override_regime:
-        raise RegimeError(
-            f"(n={n!r}, delta={delta!r}) is outside the asserted regime "
-            "(delta <= 0.1, log(1/delta)/n <= 0.01)"
-        )
-    return flags
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 
 from . import corpus
-from .adversary import construct_q, require_regime
+from .adversary import REGIME_DELTA_MAX, REGIME_RATIO_MAX, construct_q, regime_flags
 from .distribution import distribution_to_dict, load_distribution
 from .errors import DegenerateError, DomainError, RegimeError
 from .harness import (
@@ -74,17 +74,25 @@ def _load(path: str):
         raise DomainError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    except (OSError, ValueError) as exc:  # DomainError, or an over-long integer
+    except (OSError, ValueError, RecursionError) as exc:  # also over-deep nesting
         raise DomainError(f"{path}: {exc}") from exc
 
 
 def _regime(args) -> None:
-    if not all(require_regime(args.n, args.delta, args.override_regime).values()):
-        print(
-            "warning: outside the asserted regime; conditions are reported "
-            "but not enforced",
-            file=sys.stderr,
+    """The one place the asserted regime is enforced: outside it, refuse
+    unless ``--override-regime`` is given, and then only warn."""
+    if all(regime_flags(args.n, args.delta).values()):
+        return
+    if not args.override_regime:
+        raise RegimeError(
+            f"(n={args.n!r}, delta={args.delta!r}) is outside the asserted regime "
+            f"(delta <= {REGIME_DELTA_MAX}, log(1/delta)/n <= {REGIME_RATIO_MAX})"
         )
+    print(
+        "warning: outside the asserted regime; conditions are reported "
+        "but not enforced",
+        file=sys.stderr,
+    )
 
 
 def _trial_config(args) -> TrialConfig:
@@ -103,7 +111,7 @@ def _emit_verification(report: dict, args) -> int:
     if report["degenerate"]:
         print(f"refused: degenerate input ({report['meta']['reason']})", file=sys.stderr)
         return EXIT_REFUSED
-    if not all(report["regime"].values()) and args.override_regime:
+    if not all(report["regime"].values()):  # only reached under --override-regime
         return EXIT_PASS
     return EXIT_PASS if report["pass"] else EXIT_FAIL
 
@@ -124,18 +132,14 @@ def _cmd_verify(args) -> int:
         report = verify_pair(p, _load(args.pair), args.n, args.delta)
         report["meta"]["pair_file"] = str(args.pair)
     else:
-        report = verify_theorem(
-            p, args.n, args.delta, override_regime=args.override_regime
-        )
+        report = verify_theorem(p, args.n, args.delta)
     return _emit_verification(report, args)
 
 
 def _cmd_neighborhood(args) -> int:
     p = _load(args.infile)
     _regime(args)
-    report = verify_neighborhood(
-        p, args.n, args.delta, override_regime=args.override_regime
-    )
+    report = verify_neighborhood(p, args.n, args.delta)
     return _emit_verification(report, args)
 
 
@@ -201,13 +205,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, trials=False, pair=False, fmt=None):
+    def add_common(sp, trials=False, pair=None, fmt=None):
+        # pair: None offers no --pair, else whether it is required
         sp.add_argument("--in", dest="infile", required=True, help="distribution JSON")
         sp.add_argument("--n", type=int, required=True, help="sample budget")
         sp.add_argument("--delta", type=float, required=True, help="failure probability")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
-        if pair:
-            sp.add_argument("--pair", default=None, help="second distribution JSON")
+        if pair is not None:
+            sp.add_argument("--pair", required=pair, help="second distribution JSON")
         if trials:
             sp.add_argument("--trials", type=int, default=20000)
             sp.add_argument("--seed", type=int, default=None)
@@ -225,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_construct)
 
     sp = sub.add_parser("verify", help="check the pair guarantees")
-    add_common(sp, pair=True)
+    add_common(sp, pair=False)
     sp.set_defaults(fn=_cmd_verify)
 
     sp = sub.add_parser("neighborhood", help="check neighborhood membership")
@@ -257,10 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "distinguish" and not args.pair:
-        parser.error("distinguish requires --pair")
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except DegenerateError as exc:

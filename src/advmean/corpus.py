@@ -46,8 +46,6 @@ def _discretized_pareto(alpha: float, n_atoms: int) -> AtomicDistribution:
     """Equal-mass binning of the Pareto law with scale 1 and the given tail
     index; each atom sits at its bin's conditional mean, so the overall mean
     ``alpha / (alpha - 1)`` is preserved."""
-    if alpha <= 1.0:
-        raise DomainError("tail index must exceed 1 for a finite mean")
     coeff = alpha / (alpha - 1.0)
     xs = []
     for i in range(n_atoms):

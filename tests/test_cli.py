@@ -104,8 +104,15 @@ class TestVerify:
             "--override-regime",
         ) == 0
 
-    def test_out_of_regime_messages(self, two_point_file, capsys):
-        argv = ["verify", "--in", two_point_file, "--n", "100", "--delta", "0.3"]
+    @pytest.mark.parametrize(
+        "sub, with_pair",
+        [("construct", False), ("verify", False), ("verify", True),
+         ("neighborhood", False)],
+        ids=["construct", "verify", "verify-pair", "neighborhood"],
+    )
+    def test_out_of_regime_messages(self, sub, with_pair, two_point_file, capsys):
+        pair = ["--pair", two_point_file] if with_pair else []
+        argv = [sub, "--in", two_point_file, *pair, "--n", "100", "--delta", "0.3"]
         assert run(*argv) == 3
         assert capsys.readouterr().err == (
             "error: (n=100, delta=0.3) is outside the asserted regime "
@@ -303,6 +310,17 @@ class TestBenchAndDistinguish:
             "error: unrecognized arguments: --override-regime\n"
         )
 
+    def test_distinguish_requires_pair(self, two_point_file, capsys):
+        with pytest.raises(SystemExit) as err:
+            run(
+                "distinguish", "--in", two_point_file,
+                "--n", "140", "--delta", "0.05", "--trials", "2",
+            )
+        assert err.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: the following arguments are required: --pair\n"
+        )
+
     def test_bench_mom_too_few_samples(self, two_point_file, capsys):
         code = run("bench-mom", "--in", two_point_file, "--n", "5", "--delta", "0.05")
         assert code == 2
@@ -357,8 +375,9 @@ def test_bad_numbers_exit_two(argv, named, two_point_file, capsys):
      ('{"x": %s, "w": 1.0}' % HUGE, "has no float64 value: 9999"),
      ('{"x": %s, "w": 1.0}' % ("9" * 5000), "value has 5000 digits"),
      ('{"x": 0, "w": 1e308}, {"x": 1, "w": 1e308}',
-      "masses sum past float64 range (largest mass 1e+308)")],
-    ids=["string", "huge-int", "over-long-int", "mass-sum-overflow"],
+      "masses sum past float64 range (largest mass 1e+308)"),
+     ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded")],
+    ids=["string", "huge-int", "over-long-int", "mass-sum-overflow", "deep-nesting"],
 )
 def test_unconvertible_atom_exit_two(atoms, named, tmp_path, capsys):
     path = tmp_path / "bad.json"

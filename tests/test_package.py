@@ -8,7 +8,6 @@ PUBLIC_NAMES = {
     "DegenerateError",
     "DomainError",
     "InsufficientSamplesError",
-    "RegimeError",
     "TrialConfig",
     "TrimResult",
     "asymptotic_scan",
