@@ -160,14 +160,18 @@ def pair_diagnostics(
 
 def _require_partner(p: AtomicDistribution, stats: CoreStats) -> None:
     """Raise :class:`DegenerateError` when ``p`` admits no partner at the
-    budget behind ``stats``: a single atom, or a trimmed core that is a point
-    mass sitting exactly at the mean.  Either way the error bound is zero."""
+    budget behind ``stats``: a single atom, or a trimmed core at the mean
+    whose variance is zero, because it is a point mass or because its float64
+    variance underflows.  Either way the error bound is zero."""
     if p.num_atoms == 1:
         raise DegenerateError("a point mass has no distinct indistinguishable partner")
     if stats.gap <= stats.threshold and stats.sigma_star <= 0.0:
-        raise DegenerateError(
-            "trimmed core is a point mass at the mean; no skew target"
-        )
+        if stats.core.num_atoms > 1:
+            raise DegenerateError(
+                f"trimmed core variance underflows float64 to 0 across "
+                f"{stats.core.num_atoms} atoms; rescale the positions"
+            )
+        raise DegenerateError("trimmed core is a point mass at the mean; no skew target")
 
 
 def construct_q(p: AtomicDistribution, n: float, delta: float) -> AdversaryResult:

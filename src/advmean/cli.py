@@ -106,16 +106,6 @@ def _trial_config(args) -> TrialConfig:
     return TrialConfig(n=args.n, delta=args.delta, trials=args.trials, seed=seed)
 
 
-def _emit_verification(report: dict, args) -> int:
-    _emit(_json_bytes(report), args.out)
-    if report["degenerate"]:
-        print(f"refused: degenerate input ({report['meta']['reason']})", file=sys.stderr)
-        return EXIT_REFUSED
-    if not all(report["regime"].values()):  # only reached under --override-regime
-        return EXIT_PASS
-    return EXIT_PASS if report["pass"] else EXIT_FAIL
-
-
 def _cmd_construct(args) -> int:
     p = _load(args.infile)
     _regime(args)
@@ -126,21 +116,22 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    """``verify`` and ``neighborhood``: report the subcommand's ``verifier``,
+    or the explicit pair under ``verify --pair``."""
     p = _load(args.infile)
     _regime(args)
-    if args.pair:
+    if getattr(args, "pair", None):
         report = verify_pair(p, _load(args.pair), args.n, args.delta)
         report["meta"]["pair_file"] = str(args.pair)
     else:
-        report = verify_theorem(p, args.n, args.delta)
-    return _emit_verification(report, args)
-
-
-def _cmd_neighborhood(args) -> int:
-    p = _load(args.infile)
-    _regime(args)
-    report = verify_neighborhood(p, args.n, args.delta)
-    return _emit_verification(report, args)
+        report = args.verifier(p, args.n, args.delta)
+    _emit(_json_bytes(report), args.out)
+    if report["degenerate"]:
+        print(f"refused: degenerate input ({report['meta']['reason']})", file=sys.stderr)
+        return EXIT_REFUSED
+    if not all(report["regime"].values()):  # only reached under --override-regime
+        return EXIT_PASS
+    return EXIT_PASS if report["pass"] else EXIT_FAIL
 
 
 def _emit_trials(report: dict, args, columns: list[str]) -> int:
@@ -231,11 +222,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="check the pair guarantees")
     add_common(sp, pair=False)
-    sp.set_defaults(fn=_cmd_verify)
+    sp.set_defaults(fn=_cmd_verify, verifier=verify_theorem)
 
     sp = sub.add_parser("neighborhood", help="check neighborhood membership")
     add_common(sp)
-    sp.set_defaults(fn=_cmd_neighborhood)
+    sp.set_defaults(fn=_cmd_verify, verifier=verify_neighborhood)
 
     sp = sub.add_parser("bench-mom", help="median-of-means failure-rate benchmark")
     add_common(sp, trials=True, fmt=["json", "csv"])

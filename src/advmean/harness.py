@@ -1,6 +1,15 @@
 """Experiment harness: seeded sampling, claim verifiers, and Monte-Carlo
 benchmarks.
 
+Verification reports
+--------------------
+A verifier returns its report as the plain dict the CLI serializes:
+``claim``, ``conditions``, ``pass``, ``degenerate``, ``regime`` and ``meta``.
+Each checked guarantee is a row ``(name, measured, bound, slack,
+direction)``: ``bound`` is the paper's, ``slack`` one of the ``*_TOL``
+assertion tolerances, and ``direction`` "ge" or "le".  Only ``_report``
+applies the slack.  It reports the widened bound, ``bound - slack`` for "ge"
+and ``bound + slack`` for "le", and ``pass`` compares ``measured`` to it.
 The verifiers report the regime flags of ``(n, delta)`` and never refuse a
 budget outside the asserted regime; only the CLI does.
 
@@ -34,7 +43,7 @@ from .distribution import (
 from .errors import DegenerateError, DomainError, InsufficientSamplesError
 from .estimators import group_count, median_of_means
 
-# Assertion slacks, folded into the reported bounds.
+# Assertion slacks: the slack column of the verifiers' condition rows.
 MEAN_SHIFT_TOL = 1e-9
 HELLINGER_TOL = 1e-12
 RATIO_TOL = 1e-12
@@ -106,31 +115,23 @@ def sample(d: AtomicDistribution, count: int, stream: np.random.Generator) -> np
 # ---------------------------------------------------------------------------
 # Claim verifiers
 # ---------------------------------------------------------------------------
-#
-# A verifier returns its report as the plain dict the CLI serializes:
-# ``claim``, ``conditions``, ``pass``, ``degenerate``, ``regime`` and
-# ``meta``.  Each condition is ``{name, measured, bound, direction, pass}``
-# with ``direction`` "ge" or "le".
 
 
-def _condition(name: str, measured: float, bound: float, direction: str) -> dict:
-    passed = measured >= bound if direction == "ge" else measured <= bound
-    return {
-        "name": name,
-        "measured": measured,
-        "bound": bound,
-        "direction": direction,
-        "pass": passed,
-    }
-
-
-def _report(claim: str, regime: dict, conditions: tuple, meta: dict) -> dict:
-    """``pass`` is the conjunction of the condition checks.  A report whose
-    ``meta`` gives a ``reason`` is degenerate: it has no conditions, so
-    ``pass`` holds vacuously, and callers refuse it by its flag."""
+def _report(claim: str, regime: dict, rows, meta: dict) -> dict:
+    """The report of condition rows; the one place a slack widens a bound.
+    A report whose ``meta`` gives a ``reason`` is degenerate: it has no
+    conditions, so ``pass`` holds vacuously, and callers refuse it by its flag."""
+    conditions = []
+    for name, measured, bound, slack, direction in rows:
+        bound = bound - slack if direction == "ge" else bound + slack
+        passed = measured >= bound if direction == "ge" else measured <= bound
+        conditions.append(
+            {"name": name, "measured": measured, "bound": bound,
+             "direction": direction, "pass": passed}
+        )
     return {
         "claim": claim,
-        "conditions": list(conditions),
+        "conditions": conditions,
         "pass": all(c["pass"] for c in conditions),
         "degenerate": "reason" in meta,
         "regime": regime,
@@ -138,46 +139,30 @@ def _report(claim: str, regime: dict, conditions: tuple, meta: dict) -> dict:
     }
 
 
-def _closeness_conditions(diag: dict, n: int, delta: float) -> tuple[dict, dict]:
-    """The ``hellinger_closeness`` condition ``log(1 - h_sq) >= log(4 delta)
-    / (2n)``, its left side ``-inf`` once ``h_sq`` reaches 1, and the
-    ``density_ratio`` condition ``sup dq/dp <= 2``."""
+def _closeness_rows(diag: dict, n: int, delta: float) -> list[tuple]:
+    """``hellinger_closeness``, ``log(1 - h_sq) >= log(4 delta) / (2n)`` with
+    its left side ``-inf`` once ``h_sq`` reaches 1, and ``density_ratio``,
+    ``sup dq/dp <= 2``."""
     one_minus = 1.0 - diag["hellinger_sq"]
     log_one_minus = math.log(one_minus) if one_minus > 0.0 else -math.inf
-    rhs = math.log(4.0 * delta) / (2.0 * n)
-    return (
-        _condition("hellinger_closeness", log_one_minus, rhs - HELLINGER_TOL, "ge"),
-        _condition("density_ratio", diag["sup_ratio"], 2.0 + RATIO_TOL, "le"),
-    )
+    return [
+        ("hellinger_closeness", log_one_minus, math.log(4.0 * delta) / (2.0 * n),
+         HELLINGER_TOL, "ge"),
+        ("density_ratio", diag["sup_ratio"], 2.0, RATIO_TOL, "le"),
+    ]
 
 
-def _pair_conditions(
+def _pair_rows(
     q: AtomicDistribution, n: int, delta: float, stats: CoreStats, diag: dict
-) -> tuple[dict, ...]:
-    eps_p = stats.eps
-    closeness, ratio = _closeness_conditions(diag, n, delta)
-    return (
-        _condition(
-            "mean_separation",
-            diag["mean_shift"],
-            eps_p / 32.0 - MEAN_SHIFT_TOL,
-            "ge",
-        ),
-        closeness,
-        ratio,
-        _condition(
-            "variance_doubling",
-            variance(q),
-            2.0 * stats.var + VARIANCE_TOL * (1.0 + stats.var),
-            "le",
-        ),
-        _condition(
-            "estimator_separation",
-            diag["mean_shift"],
-            2.0 * (eps_p / 64.0) - MEAN_SHIFT_TOL,
-            "ge",
-        ),
-    )
+) -> list[tuple]:
+    eps_p, var_p, shift = stats.eps, stats.var, diag["mean_shift"]
+    return [
+        ("mean_separation", shift, eps_p / 32.0, MEAN_SHIFT_TOL, "ge"),
+        *_closeness_rows(diag, n, delta),
+        ("variance_doubling", variance(q), 2.0 * var_p,
+         VARIANCE_TOL * (1.0 + var_p), "le"),
+        ("estimator_separation", shift, 2.0 * (eps_p / 64.0), MEAN_SHIFT_TOL, "ge"),
+    ]
 
 
 def verify_pair(
@@ -192,21 +177,29 @@ def verify_pair(
     except DegenerateError as exc:
         meta = {"mode": "pair", "reason": str(exc)}
         return _report("indistinguishable_pair", flags, (), meta)
-    conditions = _pair_conditions(q, n, delta, stats, pair_diagnostics(p, q, stats))
-    return _report("indistinguishable_pair", flags, conditions, {"mode": "pair"})
+    rows = _pair_rows(q, n, delta, stats, pair_diagnostics(p, q, stats))
+    return _report("indistinguishable_pair", flags, rows, {"mode": "pair"})
+
+
+def _verify_partner(claim: str, p: AtomicDistribution, n: int, delta: float, rows):
+    """Construct the partner of ``p`` and report ``rows(res, meta)``, where
+    ``meta`` is the report's copy of the construction record; a ``p`` with
+    no partner gets the degenerate report."""
+    flags = regime_flags(n, delta)
+    try:
+        res = construct_q(p, n, delta)
+    except DegenerateError as exc:
+        return _report(claim, flags, (), {"reason": str(exc)})
+    meta = res.meta_dict()
+    return _report(claim, flags, rows(res, meta), meta)
 
 
 def verify_theorem(p: AtomicDistribution, n: int, delta: float) -> dict:
     """Construct the partner of ``p`` and check the separation, Hellinger,
     density-ratio, and variance guarantees at their stated tolerances."""
-    try:
-        res = construct_q(p, n, delta)
-    except DegenerateError as exc:
-        meta = {"reason": str(exc)}
-        return _report("indistinguishable_pair", regime_flags(n, delta), (), meta)
-    conditions = _pair_conditions(res.q, n, delta, res.stats, res.meta["diagnostics"])
-    return _report(
-        "indistinguishable_pair", res.meta["regime"], conditions, res.meta_dict()
+    return _verify_partner(
+        "indistinguishable_pair", p, n, delta,
+        lambda res, meta: _pair_rows(res.q, n, delta, res.stats, meta["diagnostics"]),
     )
 
 
@@ -216,34 +209,22 @@ def verify_neighborhood(p: AtomicDistribution, n: int, delta: float) -> dict:
     closeness, mean shift within the error bound, and density ratio at most 2.
     The composite bound ``min(eps(n/3), eps(n))`` is recorded for both
     endpoints."""
-    try:
-        res = construct_q(p, n, delta)
-    except DegenerateError as exc:
-        meta = {"reason": str(exc)}
-        return _report("neighborhood_membership", regime_flags(n, delta), (), meta)
-    eps_p, diag = res.stats.eps, res.meta["diagnostics"]
-    eps_q_shrunk = epsilon(res.q, n / SAMPLE_SHRINK, delta)
-    closeness, ratio = _closeness_conditions(diag, n, delta)
-    conditions = (
-        _condition(
-            "error_transfer",
-            eps_q_shrunk,
-            ERROR_TRANSFER_FACTOR * eps_p + ERROR_TRANSFER_TOL,
-            "le",
-        ),
-        closeness,
-        _condition(
-            "mean_shift_within",
-            diag["mean_shift"],
-            eps_p + SHIFT_UPPER_TOL,
-            "le",
-        ),
-        ratio,
-    )
-    meta = res.meta_dict()
-    meta["composite_bound_p"] = min(epsilon(p, n / SAMPLE_SHRINK, delta), eps_p)
-    meta["composite_bound_q"] = min(eps_q_shrunk, epsilon(res.q, n, delta))
-    return _report("neighborhood_membership", res.meta["regime"], conditions, meta)
+
+    def rows(res, meta):
+        eps_p, diag = res.stats.eps, meta["diagnostics"]
+        eps_q_shrunk = epsilon(res.q, n / SAMPLE_SHRINK, delta)
+        meta["composite_bound_p"] = min(epsilon(p, n / SAMPLE_SHRINK, delta), eps_p)
+        meta["composite_bound_q"] = min(eps_q_shrunk, epsilon(res.q, n, delta))
+        closeness, ratio = _closeness_rows(diag, n, delta)
+        return [
+            ("error_transfer", eps_q_shrunk, ERROR_TRANSFER_FACTOR * eps_p,
+             ERROR_TRANSFER_TOL, "le"),
+            closeness,
+            ("mean_shift_within", diag["mean_shift"], eps_p, SHIFT_UPPER_TOL, "le"),
+            ratio,
+        ]
+
+    return _verify_partner("neighborhood_membership", p, n, delta, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -203,8 +203,11 @@ def test_point_mass_report(sub, claim, point_mass_file, tmp_path, capsys):
     "xs, ws, reason",
     [([0.0], [1.0], "a point mass has no distinct indistinguishable partner"),
      ([-1.0, 0.0, 1.0], [0.0005, 0.999, 0.0005],
-      "trimmed core is a point mass at the mean; no skew target")],
-    ids=["point-mass", "point-mass-core"],
+      "trimmed core is a point mass at the mean; no skew target"),
+     ([-5e-324, 5e-324], [0.5, 0.5],
+      "trimmed core variance underflows float64 to 0 across 2 atoms; "
+      "rescale the positions")],
+    ids=["point-mass", "point-mass-core", "core-underflow"],
 )
 def test_pair_degenerate_refused(xs, ws, reason, tmp_path, capsys):
     # --pair applies the same degenerate rule as the constructed partner
@@ -223,6 +226,8 @@ def test_pair_degenerate_refused(xs, ws, reason, tmp_path, capsys):
         "regime": {"delta_ok": True, "ratio_ok": True},
         "meta": {"mode": "pair", "pair_file": path, "reason": reason},
     }
+    assert run("construct", "--in", path, "--n", "1000", "--delta", "0.05") == 3
+    assert capsys.readouterr() == ("", f"refused: {reason}\n")
 
 
 class TestNeighborhood:

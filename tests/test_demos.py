@@ -1,4 +1,9 @@
-"""Each demo script runs to completion and prints something."""
+"""Each demo script runs to completion and prints exactly its expected output.
+
+The demos are deterministic; after a deliberate change to one, rewrite its
+expected file with ``PYTHONPATH=src python demos/NAME.py >
+tests/expected/demos/NAME.out``.
+"""
 
 import os
 import subprocess
@@ -8,6 +13,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+EXPECTED = ROOT / "tests" / "expected" / "demos"
 
 
 @pytest.mark.parametrize(
@@ -20,4 +26,4 @@ def test_demo_runs(script):
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+    assert proc.stdout == (EXPECTED / f"{script.stem}.out").read_text()

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from advmean import (
     verify_theorem,
 )
 from advmean import corpus
-from advmean import distribution
+from advmean import distribution, harness
 
 from oracles import brute_force_trim, lr_wrong_reversed
 
@@ -140,6 +141,37 @@ class TestVerifyTheorem:
             )
             assert recomputed == cond["pass"]
         assert set(payload["regime"]) == {"delta_ok", "ratio_ok"}
+
+
+class TestConditionRows:
+    """``_report`` widens each row's bound by its slack, then compares."""
+
+    @pytest.mark.parametrize(
+        "direction, bound, slack",
+        [("ge", 0.1, harness.MEAN_SHIFT_TOL), ("le", 2.0, harness.RATIO_TOL)],
+    )
+    def test_boundary(self, direction, bound, slack):
+        widened, beyond = (
+            (bound - slack, -math.inf) if direction == "ge" else (bound + slack, math.inf)
+        )
+        rows = [
+            ("at", widened, bound, slack, direction),
+            ("past", math.nextafter(widened, beyond), bound, slack, direction),
+        ]
+        rep = harness._report("claim", {}, rows, {})
+        at, past = rep["conditions"]
+        assert at["bound"] == past["bound"] == widened
+        assert at["pass"] and not past["pass"]
+        assert not rep["pass"] and not rep["degenerate"]
+
+    @pytest.mark.parametrize("name", corpus.names())
+    def test_estimator_separation_repeats_mean_separation(self, name):
+        # The same test twice: 2 * (eps / 64) == eps / 32 exactly in binary.
+        p = corpus.build(name)
+        for n, delta in itertools.product([10**3, 10**4, 10**5], [0.05, 0.01, 0.001]):
+            by_name = {c["name"]: c for c in verify_theorem(p, n, delta)["conditions"]}
+            est, sep = by_name["estimator_separation"], by_name["mean_separation"]
+            assert (est["measured"], est["bound"]) == (sep["measured"], sep["bound"])
 
 
 class TestVerifyNeighborhood:
