@@ -3,9 +3,9 @@
 Everything downstream works with probability measures supported on finitely
 many points, so every integral is a finite sum and every density ratio is a
 per-atom mass ratio.  This module provides the value type
-(:class:`AtomicDistribution`), moments, the radial trimming operation, the
-trimmed-core statistics and error bound, support alignment, mixing, and the
-JSON file format used by the CLI.
+(:class:`AtomicDistribution`, with its inverse-CDF sampling table), moments,
+the radial trimming operation, the trimmed-core statistics and error bound,
+support alignment, mixing, and the JSON file format used by the CLI.
 
 Numerical conventions
 ---------------------
@@ -23,6 +23,7 @@ functions, so everything here is safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import reprlib
@@ -98,6 +99,36 @@ class AtomicDistribution:
             raise DomainError(f"masses sum to {total!r}, expected 1 within {MASS_TOL}")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ws", ws)
+
+    @functools.cached_property
+    def _guide_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """``(cum, start, crowded)`` for :meth:`_inverse_cdf`, built once.
+        ``cum[-1]`` is exactly 1.0, so no uniform falls past the last atom.
+        Of ``G = start.size`` equal buckets (a power of two, about two per
+        atom, at most 2^16), bucket ``b`` starts at atom ``start[b]`` and is
+        crowded when it holds two or more ``cum`` values (``None``: none is)."""
+        cum = np.cumsum(self.ws)
+        cum[-1] = 1.0
+        buckets = 1 << min(16, (2 * cum.size - 1).bit_length())
+        edges = np.arange(buckets + 1) / buckets
+        start = np.searchsorted(cum, edges[:-1], side="right")
+        crowded = np.searchsorted(cum, edges[1:], side="left") - start > 1
+        cum.flags.writeable = start.flags.writeable = crowded.flags.writeable = False
+        return cum, start, crowded if crowded.any() else None
+
+    def _inverse_cdf(self, u: np.ndarray) -> np.ndarray:
+        """The atoms of uniforms ``u`` in [0, 1): ``searchsorted(cum, u,
+        side="right")``, index for index.  ``u * G`` is exact, and outside
+        crowded buckets one comparison picks ``start[b]`` or the next atom."""
+        cum, start, crowded = self._guide_table
+        bucket = (u * start.size).astype(np.intp)
+        idx = start[bucket]
+        idx += cum[idx] <= u
+        if crowded is not None:
+            hard = np.flatnonzero(crowded[bucket])
+            if hard.size:
+                idx[hard] = np.searchsorted(cum, u[hard], side="right")
+        return idx
 
     @property
     def num_atoms(self) -> int:

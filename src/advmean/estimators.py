@@ -56,7 +56,13 @@ def median_of_means(samples, delta: float) -> float:
         size = base + (1 if g < extra else 0)
         means.append(math.fsum(data[start : start + size]) / size)
         start += size
-    return float(np.median(means))
+    if any(map(math.isnan, means)):
+        return math.nan
+    # The middle mean, or the midpoint (a + b) / 2 of the two central ones:
+    # bitwise what np.median computes.
+    means.sort()
+    mid = k // 2
+    return means[mid] if k % 2 else (means[mid - 1] + means[mid]) / 2
 
 
 def sample_mean(samples) -> float:

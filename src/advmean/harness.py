@@ -20,6 +20,12 @@ keyed by ``SeedSequence([seed, trial_index])``.  A trial's outcome therefore
 depends only on ``(seed, trial_index)``: trials share no state, the order
 they run in does not matter, and identical configs reproduce
 bitwise-identical reports.
+
+A draw maps uniforms to atoms by ``AtomicDistribution._inverse_cdf``, an
+exact guide-table form of ``searchsorted(cum, u, side="right")``.  The LR
+test counts its draws per atom, in chunks of ``_CHUNK``, and sums the counts
+against exact integer limbs of the log ratios (``_limbs``), so each trial
+gets the sign and zero test of ``fsum`` in memory that does not grow with n.
 """
 
 from __future__ import annotations
@@ -91,25 +97,11 @@ def trial_stream(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, trial])))
 
 
-def _cdf(d: AtomicDistribution) -> np.ndarray:
-    """Cumulative masses with the last interval closed at exactly 1.0, so
-    cumulative rounding can never leave a uniform draw past the last atom."""
-    cum = np.cumsum(d.ws)
-    cum[-1] = 1.0
-    return cum
-
-
-def _draw(cum: np.ndarray, count: int, stream: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF atom indices: a uniform in [0, 1) selects the atom whose
-    cumulative-mass interval contains it."""
-    return np.searchsorted(cum, stream.random(count), side="right")
-
-
 def sample(d: AtomicDistribution, count: int, stream: np.random.Generator) -> np.ndarray:
     """``count`` inverse-CDF draws from ``d`` as a 1-d float array."""
     if count < 1:
         raise DomainError(f"sample count must be >= 1, got {count!r}")
-    return d.xs[_draw(_cdf(d), count, stream)]
+    return d.xs[d._inverse_cdf(stream.random(count))]
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +275,53 @@ def _log_ratio_tables(
     return table[wp > 0.0], table[wq > 0.0]
 
 
+_LIMB_BITS = 30
+_CHUNK = 1 << 16  # uniforms per draw; a limb sum stays below 2^46
+
+
+def _limbs(table: np.ndarray) -> np.ndarray:
+    """Integer columns whose count-weighted sums give ``fsum(table[idx])``
+    exactly from the per-atom counts of ``idx``: indicators of ``+inf`` and
+    ``-inf``, then each finite entry on the finest binary grid among them,
+    in signed 30-bit limbs."""
+    values = table.tolist()
+    ratios = [t.as_integer_ratio() if math.isfinite(t) else (0, 1) for t in values]
+    grid = max(den for _, den in ratios)
+    ints = [num * (grid // den) for num, den in ratios]
+    width = max(1, -(-max(abs(v).bit_length() for v in ints) // _LIMB_BITS))
+    mask = (1 << _LIMB_BITS) - 1
+    rows = [
+        [t == math.inf, t == -math.inf]
+        + [(abs(v) >> (_LIMB_BITS * k) & mask) * (-1 if v < 0 else 1) for k in range(width)]
+        for t, v in zip(values, ints)
+    ]
+    return np.array(rows, dtype=np.int64)
+
+
+def _fold(sums: list[int]) -> float | int:
+    """The statistic from the column totals of :func:`_limbs`: ``fsum``'s
+    value if an infinite term was drawn, else the exact sum in grid units,
+    which has the sign and the zero test of ``fsum``'s rounding of it."""
+    plus, minus, *limbs = sums
+    if plus or minus:
+        return math.fsum([math.inf] * (plus > 0) + [-math.inf] * (minus > 0))
+    return sum(v << (_LIMB_BITS * k) for k, v in enumerate(limbs))
+
+
+def _lr_statistic(
+    d: AtomicDistribution, limbs: np.ndarray, n: int, stream: np.random.Generator
+) -> float | int:
+    """``n`` draws from ``d`` in chunks, summed as per-atom counts; the
+    chunked draws consume ``stream`` exactly as one draw of ``n`` would."""
+    sums = [0] * limbs.shape[1]
+    for done in range(0, n, _CHUNK):
+        counts = np.bincount(
+            d._inverse_cdf(stream.random(min(_CHUNK, n - done))), minlength=d.num_atoms
+        )
+        sums = [a + b for a, b in zip(sums, (counts @ limbs).tolist())]
+    return _fold(sums)
+
+
 def lr_test_error(
     p: AtomicDistribution,
     q: AtomicDistribution,
@@ -298,21 +337,18 @@ def lr_test_error(
     """
     if cfg.trials % 2 != 0:
         raise DomainError("trial count must be even (half per source)")
-    table_p, table_q = _log_ratio_tables(p, q)
+    limbs_p, limbs_q = map(_limbs, _log_ratio_tables(p, q))
     half = cfg.trials // 2
-    cum_p, cum_q = _cdf(p), _cdf(q)
 
     def one_trial(t: int) -> bool:
         from_p = t < half
-        cum, table = (cum_p, table_p) if from_p else (cum_q, table_q)
+        d, limbs = (p, limbs_p) if from_p else (q, limbs_q)
         stream = trial_stream(cfg.seed, t)
-        # fsum is -inf or +inf once any term is; table_p holds no +inf and
-        # table_q no -inf, so one trial never sums both.
-        lam = math.fsum(table[_draw(cum, cfg.n, stream)].tolist())
-        if lam == 0.0:
+        lam = _lr_statistic(d, limbs, cfg.n, stream)
+        if lam == 0:
             decide_q = stream.random() < 0.5
         else:
-            decide_q = lam > 0.0
+            decide_q = lam > 0
         return decide_q if from_p else not decide_q
 
     type_i = sum(map(one_trial, range(half))) / half

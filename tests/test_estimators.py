@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -104,6 +106,27 @@ class TestMedianOfMeans:
                     permuted[2 * g],
                 )
         assert median_of_means(permuted, 0.05) == base
+
+    @pytest.mark.parametrize("delta, k", [(0.9, 1), (0.1, 11), (0.05, 14)])
+    @given(values=st.lists(
+        st.floats(allow_nan=False, min_value=-1e300, max_value=1e300),
+        min_size=14, max_size=60,
+    ))
+    def test_median_step_matches_np_median(self, delta, k, values):
+        # k = 1, odd k and even k; signed zeros compare equal, and their
+        # order within a sort is not numpy's.
+        assert group_count(delta) == k
+        base, extra = divmod(len(values), k)
+        means, start = [], 0
+        for g in range(k):
+            size = base + (g < extra)
+            means.append(math.fsum(values[start : start + size]) / size)
+            start += size
+        assert median_of_means(values, delta) == float(np.median(means))
+
+    def test_nan_group_gives_nan(self):
+        # as np.median does; a sort would place the NaN mean arbitrarily
+        assert math.isnan(median_of_means([1.0] * 13 + [math.nan], 0.05))
 
 
 class TestSampleMean:

@@ -1,4 +1,4 @@
-"""The library verifiers' reports are pinned byte for byte.
+"""The library's reports are pinned byte for byte.
 
 For each verifier and input distribution, the digest is the SHA-256 of the
 reports over the 9-cell grid plus ``(100, 0.3)``, each serialized as
@@ -10,6 +10,13 @@ deliberate change to a report with
     PYTHONPATH=src:tests python -c "import json, test_golden_reports as t; \
 print(json.dumps(t.digests(), indent=2, sort_keys=True))" \
 > tests/expected/report_digests.json
+
+The Monte-Carlo reports are pinned the same way, per corpus member over seeds
+0 and 1: ``bench_mom``, and ``lr_test_error`` against the member's partner,
+against the member itself (every trial a tie, so the coin pins the stream
+state after the draws), and both again at 70,000 draws per trial, past one
+draw chunk.  Regenerate with
+``t.monte_carlo_digests()`` into ``tests/expected/monte_carlo_digests.json``.
 """
 
 import hashlib
@@ -17,9 +24,17 @@ import json
 from pathlib import Path
 
 from advmean import AtomicDistribution, DegenerateError, construct_q, corpus
-from advmean.harness import verify_neighborhood, verify_pair, verify_theorem
+from advmean.harness import (
+    TrialConfig,
+    bench_mom,
+    lr_test_error,
+    verify_neighborhood,
+    verify_pair,
+    verify_theorem,
+)
 
 EXPECTED = Path(__file__).resolve().parent / "expected" / "report_digests.json"
+EXPECTED_MC = EXPECTED.with_name("monte_carlo_digests.json")
 CELLS = [(n, d) for n in (1000, 10000, 100000) for d in (0.05, 0.01, 0.001)]
 CELLS.append((100, 0.3))
 
@@ -58,3 +73,27 @@ def digests() -> dict:
 
 def test_report_digests():
     assert digests() == json.loads(EXPECTED.read_text())
+
+
+def monte_carlo_digests() -> dict:
+    reports = {
+        "bench_mom": lambda p, q, seed: bench_mom(p, TrialConfig(1400, 0.05, 100, seed)),
+        "lr_partner": lambda p, q, seed: lr_test_error(p, q, TrialConfig(1000, 0.05, 100, seed)),
+        "lr_self": lambda p, q, seed: lr_test_error(p, p, TrialConfig(1000, 0.05, 100, seed)),
+        "lr_chunked": lambda p, q, seed: lr_test_error(p, q, TrialConfig(70_000, 0.05, 2, seed)),
+        "lr_self_chunked": lambda p, q, seed: lr_test_error(p, p, TrialConfig(70_000, 0.05, 8, seed)),
+    }
+    out = {}
+    for member in corpus.names():
+        p = corpus.build(member)
+        q = construct_q(p, 1000, 0.05).q
+        for label, run in reports.items():
+            h = hashlib.sha256()
+            for seed in (0, 1):
+                h.update(json.dumps(run(p, q, seed), sort_keys=True, indent=2).encode())
+            out[f"{label}/{member}"] = h.hexdigest()
+    return out
+
+
+def test_monte_carlo_digests():
+    assert monte_carlo_digests() == json.loads(EXPECTED_MC.read_text())

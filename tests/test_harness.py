@@ -1,8 +1,13 @@
 import itertools
 import math
+import random
+import tracemalloc
+from fractions import Fraction
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from advmean import (
     AtomicDistribution,
@@ -55,6 +60,64 @@ class TestSample:
         d = AtomicDistribution([0.0, 1.0], [0.9, 0.1])
         draws = sample(d, 20000, trial_stream(0, 1))
         assert float(draws.mean()) == pytest.approx(0.1, abs=0.01)
+
+
+def _jittered_gaussian_grid(atoms: int, seed: int = 0) -> AtomicDistribution:
+    """N(0, 1) masses on a jittered grid over [-6, 6]: its tails put many
+    atoms of tiny mass into one guide bucket."""
+    rng = random.Random(seed)
+    step = 12.0 / (atoms - 1)
+    xs = [-6.0 + step * (i + rng.uniform(-0.25, 0.25)) for i in range(atoms)]
+    ws = [math.exp(-0.5 * x * x) for x in xs]
+    total = math.fsum(ws)
+    return AtomicDistribution(xs, [w / total for w in ws])
+
+
+def _edge_uniforms(table) -> np.ndarray:
+    """0, the largest double below 1, every ``cum`` value and its two
+    neighbours, and every bucket edge ``b / G`` and its predecessor."""
+    cum, start, _ = table
+    edges = np.arange(start.size) / start.size
+    u = np.concatenate([
+        [0.0, np.nextafter(1.0, 0.0)],
+        cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0),
+        edges, np.nextafter(edges, -1.0),
+    ])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+def _assert_guide_exact(d: AtomicDistribution, draws: int = 20_000):
+    table = d._guide_table
+    u = np.concatenate([_edge_uniforms(table), trial_stream(0, d.num_atoms).random(draws)])
+    assert np.array_equal(d._inverse_cdf(u), np.searchsorted(table[0], u, side="right"))
+
+
+class TestGuideDraw:
+    """The guide-table draw is ``searchsorted(cum, u, side="right")``, index
+    for index."""
+
+    @pytest.mark.parametrize("name", corpus.names())
+    def test_corpus(self, name):
+        _assert_guide_exact(corpus.build(name))
+
+    @pytest.mark.parametrize("atoms", [10_001, 70_001])
+    def test_wide_gaussian_grid(self, atoms):
+        # 70,001 atoms would want 2^18 buckets and get the 2^16 cap.
+        d = _jittered_gaussian_grid(atoms)
+        _, start, crowded = d._guide_table
+        assert start.size == min(1 << 16, 1 << (2 * atoms - 1).bit_length())
+        assert crowded is not None and crowded.sum() >= 2
+        _assert_guide_exact(d, draws=100_000)
+
+    @given(st.lists(st.floats(min_value=1e-300, max_value=1.0), min_size=1, max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_tiny_masses(self, raw):
+        total = math.fsum(raw)
+        d = AtomicDistribution(np.arange(len(raw), dtype=float), [w / total for w in raw])
+        _assert_guide_exact(d, draws=500)
+
+    def test_table_is_built_once(self, two_point):
+        assert two_point._guide_table is two_point._guide_table
 
 
 class TestBruteForceTrimOracle:
@@ -282,11 +345,113 @@ class TestLrTestError:
             sum(wrong[half:]) / half,
         )
 
+    def test_ties_take_the_coin(self):
+        # Shared atoms of equal mass log-ratio to 0 and the others to
+        # +-log 2, so a trial ties whenever it draws -1 and 1 equally often.
+        p = AtomicDistribution([-1.0, 0.0, 1.0], [0.5, 0.25, 0.25])
+        q = AtomicDistribution([-1.0, 0.0, 1.0], [0.25, 0.25, 0.5])
+        cfg = TrialConfig(n=4, delta=0.05, trials=400, seed=0)
+        half = cfg.trials // 2
+        ties = sum(
+            math.fsum(np.sign(sample(p, cfg.n, trial_stream(0, t))).tolist()) == 0.0
+            for t in range(half)
+        )
+        assert 0 < ties < half
+        rep = lr_test_error(p, q, cfg)
+        wrong = lr_wrong_reversed(p, q, cfg)
+        assert (rep["type_i"], rep["type_ii"]) == (
+            sum(wrong[:half]) / half,
+            sum(wrong[half:]) / half,
+        )
+
+    def test_memory_bounded_in_n(self):
+        # Draws come in fixed chunks: ten times the draws per trial leave
+        # the peak where it was, far below the 8 MB of 10^6 floats.
+        p = corpus.build("pareto_15")
+        q = construct_q(p, 1000, 0.05).q
+
+        def peak(n):
+            lr_test_error(p, q, TrialConfig(n=n, delta=0.05, trials=2, seed=0))
+            tracemalloc.start()
+            try:
+                lr_test_error(p, q, TrialConfig(n=n, delta=0.05, trials=2, seed=0))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(10**5), peak(10**6)
+        assert large <= small + 64 * 1024
+        assert large < 8 * 10**6 // 2
+
     def test_odd_trials_rejected(self, two_point):
         with pytest.raises(DomainError):
             lr_test_error(
                 two_point, two_point, TrialConfig(n=10, delta=0.05, trials=11, seed=0)
             )
+
+
+def _decision(lam):
+    """What a trial does with its statistic: ``(tie, decide_q)``."""
+    return lam == 0, lam > 0
+
+
+log_terms = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, 0.1, 0.2, -0.3, 5e-324]),
+)
+
+
+class TestCountedLrStatistic:
+    """The count-based statistic decides every trial as ``fsum`` of the
+    drawn log ratios does."""
+
+    @staticmethod
+    def _counted(table, idx):
+        counts = np.bincount(idx, minlength=len(table))
+        return harness._fold((counts @ harness._limbs(np.array(table))).tolist())
+
+    @given(st.lists(log_terms, min_size=1, max_size=12), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_fsum_decision(self, table, data):
+        idx = data.draw(
+            st.lists(st.integers(0, len(table) - 1), min_size=1, max_size=30)
+        )
+        terms = [table[i] for i in idx]
+        try:
+            expected = math.fsum(terms)
+        except ValueError:  # both +inf and -inf drawn
+            with pytest.raises(ValueError):
+                self._counted(table, idx)
+            return
+        got = self._counted(table, idx)
+        assert _decision(got) == _decision(expected)
+        if math.isfinite(expected):
+            exact = sum(map(Fraction, terms))
+            assert (got > 0, got < 0) == (exact > 0, exact < 0)
+        else:
+            assert got == expected
+
+    def test_exact_cancellation_ties(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            a = float(rng.normal() * 10.0 ** rng.integers(-17, 3))
+            table = [a, -a, 0.0, a / 3.0]
+            idx = rng.integers(0, len(table), size=int(rng.integers(1, 7)))
+            assert _decision(self._counted(table, idx)) == _decision(
+                math.fsum(np.array(table)[idx].tolist())
+            )
+
+    def test_chunked_draws_match_one_draw(self):
+        # Past one chunk, the statistic decides as fsum over one draw of n
+        # and leaves the stream where that draw does, for the tie coin.
+        d = corpus.build("gaussian_grid")
+        table = np.linspace(-3.0, 3.0, d.num_atoms) ** 3
+        n = harness._CHUNK + 12_345
+        chunked, whole = trial_stream(5, 7), trial_stream(5, 7)
+        lam = harness._lr_statistic(d, harness._limbs(table), n, chunked)
+        expected = math.fsum(table[d._inverse_cdf(whole.random(n))].tolist())
+        assert _decision(lam) == _decision(expected)
+        assert chunked.random() == whole.random()
 
 
 class TestAsymptoticScan:
