@@ -134,27 +134,20 @@ def _cmd_verify(args) -> int:
     return EXIT_PASS if report["pass"] else EXIT_FAIL
 
 
-def _emit_trials(report: dict, args, columns: list[str]) -> int:
-    """Write a Monte-Carlo report; ``columns`` are its rate columns in CSV."""
+def _cmd_trials(args) -> int:
+    """``bench-mom`` and ``distinguish``: run the subcommand's ``bench`` on
+    ``--in`` (and ``--pair``); ``columns`` are its rate columns in CSV."""
+    dists = [_load(args.infile)]
+    if getattr(args, "pair", None):
+        dists.append(_load(args.pair))
+    report = args.bench(*dists, _trial_config(args))
     report["distribution"] = Path(args.infile).stem
     if args.format == "csv":
-        header = ["distribution", "n", "delta", "trials", "seed", *columns]
+        header = ["distribution", "n", "delta", "trials", "seed", *args.columns]
         _emit(_csv_text([report], header + ["ci_halfwidth", "pass"]), args.out)
     else:
         _emit(_json_bytes(report), args.out)
     return EXIT_PASS if report["pass"] else EXIT_FAIL
-
-
-def _cmd_bench_mom(args) -> int:
-    p = _load(args.infile)
-    cfg = _trial_config(args)
-    return _emit_trials(bench_mom(p, cfg), args, ["failure_rate", "bound"])
-
-
-def _cmd_distinguish(args) -> int:
-    p = _load(args.infile)
-    q = _load(args.pair)
-    return _emit_trials(lr_test_error(p, q, _trial_config(args)), args, ["empirical_error"])
 
 
 def _cmd_scan(args) -> int:
@@ -230,11 +223,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bench-mom", help="median-of-means failure-rate benchmark")
     add_common(sp, trials=True, fmt=["json", "csv"])
-    sp.set_defaults(fn=_cmd_bench_mom)
+    sp.set_defaults(fn=_cmd_trials, bench=bench_mom, columns=["failure_rate", "bound"])
 
     sp = sub.add_parser("distinguish", help="likelihood-ratio test simulation")
     add_common(sp, trials=True, pair=True, fmt=["json", "csv"])
-    sp.set_defaults(fn=_cmd_distinguish)
+    sp.set_defaults(fn=_cmd_trials, bench=lr_test_error, columns=["empirical_error"])
 
     sp = sub.add_parser("scan", help="tabulate the error bound across n")
     sp.add_argument("--in", dest="infile", required=True)

@@ -251,26 +251,22 @@ def standard_trim(d: AtomicDistribution, n: float, delta: float) -> TrimResult:
 class CoreStats:
     """The error-bound quantities of ``d`` at the budget ``(n, delta)``.
 
-    ``mu`` and ``var`` are ``d``'s moments, ``mu_star`` and ``sigma_star``
-    those of its trimmed core, and ``gap = |mu - mu_star|``.  ``rate`` is
+    ``mu`` and ``var`` are ``d``'s moments, ``sigma_star`` the standard
+    deviation of its trimmed ``core``, and ``gap = |mu - mu_star|`` with
+    ``mu_star`` the core's mean.  ``rate`` is
     ``sqrt(ERROR_COEFF * log(1/delta) / n)``, ``threshold = sigma_star * rate``
     is the deviation term whose comparison with ``gap`` picks the
     construction branch, and ``eps = gap + threshold`` is the error bound.
     """
 
-    trim: TrimResult
+    core: AtomicDistribution
     mu: float
     var: float
-    mu_star: float
     sigma_star: float
     gap: float
     rate: float
     threshold: float
     eps: float
-
-    @property
-    def core(self) -> AtomicDistribution:
-        return self.trim.trimmed
 
 
 def core_stats(d: AtomicDistribution, n: float, delta: float) -> CoreStats:
@@ -287,15 +283,12 @@ def core_stats(d: AtomicDistribution, n: float, delta: float) -> CoreStats:
             f"moments overflow float64 (mean {mu!r}, variance {var!r}); "
             "rescale the positions"
         )
-    trimmed = standard_trim(d, n, delta)
-    mu_star = mean(trimmed.trimmed)
-    sigma_star = std(trimmed.trimmed)
-    gap = abs(mu - mu_star)
+    core = standard_trim(d, n, delta).trimmed
+    sigma_star = std(core)
+    gap = abs(mu - mean(core))
     rate = math.sqrt(ERROR_COEFF * math.log(1.0 / delta) / n)
     threshold = sigma_star * rate
-    return CoreStats(
-        trimmed, mu, var, mu_star, sigma_star, gap, rate, threshold, gap + threshold
-    )
+    return CoreStats(core, mu, var, sigma_star, gap, rate, threshold, gap + threshold)
 
 
 def epsilon(d: AtomicDistribution, n: float, delta: float) -> float:
@@ -382,7 +375,7 @@ def distribution_from_dict(payload: dict) -> AtomicDistribution:
 
 
 def distribution_to_dict(d: AtomicDistribution) -> dict:
-    return {"atoms": [{"x": float(x), "w": float(w)} for x, w in zip(d.xs, d.ws)]}
+    return {"atoms": [{"x": x, "w": w} for x, w in zip(d.xs.tolist(), d.ws.tolist())]}
 
 
 def load_distribution(path) -> AtomicDistribution:

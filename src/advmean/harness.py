@@ -19,7 +19,10 @@ Every trial draws from its own counter-based stream, a Philox generator
 keyed by ``SeedSequence([seed, trial_index])``.  A trial's outcome therefore
 depends only on ``(seed, trial_index)``: trials share no state, the order
 they run in does not matter, and identical configs reproduce
-bitwise-identical reports.
+bitwise-identical reports.  One loop, ``_trial_rate``, keeps this contract:
+it alone calls :func:`trial_stream`, and each benchmark passes it only a
+trial's outcome on a stream (``bench_mom`` a missed budget, ``lr_test_error``
+a wrong decision, run once over each source's half of the trials).
 
 A draw maps uniforms to atoms by ``AtomicDistribution._inverse_cdf``, an
 exact guide-table form of ``searchsorted(cum, u, side="right")``.  The LR
@@ -33,6 +36,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -224,6 +228,17 @@ def verify_neighborhood(p: AtomicDistribution, n: int, delta: float) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _trial_rate(cfg: TrialConfig, trials: range, outcome) -> float:
+    """The one trial loop: the share of ``trials`` whose ``outcome`` holds on
+    the stream of ``(cfg.seed, t)``, the only stream trial ``t`` draws from."""
+    return sum(outcome(trial_stream(cfg.seed, t)) for t in trials) / len(trials)
+
+
+def _trial_header(kind: str, cfg: TrialConfig) -> dict:
+    return {"kind": kind, "n": cfg.n, "delta": cfg.delta, "trials": cfg.trials,
+            "seed": cfg.seed}
+
+
 def bench_mom(p: AtomicDistribution, cfg: TrialConfig) -> dict:
     """Measure how often the median-of-means misses its error budget
     ``|mu - mu*| + 3 sigma* sqrt(4.5 log(1/delta) / n)`` by more than its
@@ -237,19 +252,13 @@ def bench_mom(p: AtomicDistribution, cfg: TrialConfig) -> dict:
     bound = stats.gap + 3.0 * stats.sigma_star * stats.rate
     limit = bound + MOM_ROUNDING_TOL * float(np.abs(p.xs).max())
 
-    def one_trial(t: int) -> bool:
-        stream = trial_stream(cfg.seed, t)
-        est = median_of_means(sample(p, cfg.n, stream), cfg.delta)
-        return abs(est - mu_p) > limit
+    def missed(stream: np.random.Generator) -> bool:
+        return abs(median_of_means(sample(p, cfg.n, stream), cfg.delta) - mu_p) > limit
 
-    failure_rate = sum(map(one_trial, range(cfg.trials))) / cfg.trials
+    failure_rate = _trial_rate(cfg, range(cfg.trials), missed)
     ci_halfwidth = 3.0 * math.sqrt(cfg.delta * (1.0 - cfg.delta) / cfg.trials)
     return {
-        "kind": "bench_mom",
-        "n": cfg.n,
-        "delta": cfg.delta,
-        "trials": cfg.trials,
-        "seed": cfg.seed,
+        **_trial_header("bench_mom", cfg),
         "mu_p": mu_p,
         "bound": bound,
         "failure_rate": failure_rate,
@@ -322,6 +331,17 @@ def _lr_statistic(
     return _fold(sums)
 
 
+def _lr_errs(
+    d: AtomicDistribution, limbs: np.ndarray, n: int, from_q: bool,
+    stream: np.random.Generator,
+) -> bool:
+    """Whether one trial of :func:`lr_test_error` on ``n`` draws from ``d``
+    decides wrongly; ``d`` is ``q`` when ``from_q``."""
+    lam = _lr_statistic(d, limbs, n, stream)
+    decide_q = stream.random() < 0.5 if lam == 0 else lam > 0
+    return decide_q != from_q
+
+
 def lr_test_error(
     p: AtomicDistribution,
     q: AtomicDistribution,
@@ -339,28 +359,14 @@ def lr_test_error(
         raise DomainError("trial count must be even (half per source)")
     limbs_p, limbs_q = map(_limbs, _log_ratio_tables(p, q))
     half = cfg.trials // 2
-
-    def one_trial(t: int) -> bool:
-        from_p = t < half
-        d, limbs = (p, limbs_p) if from_p else (q, limbs_q)
-        stream = trial_stream(cfg.seed, t)
-        lam = _lr_statistic(d, limbs, cfg.n, stream)
-        if lam == 0:
-            decide_q = stream.random() < 0.5
-        else:
-            decide_q = lam > 0
-        return decide_q if from_p else not decide_q
-
-    type_i = sum(map(one_trial, range(half))) / half
-    type_ii = sum(map(one_trial, range(half, cfg.trials))) / half
+    type_i = _trial_rate(cfg, range(half), partial(_lr_errs, p, limbs_p, cfg.n, False))
+    type_ii = _trial_rate(
+        cfg, range(half, cfg.trials), partial(_lr_errs, q, limbs_q, cfg.n, True)
+    )
     empirical_error = 0.5 * (type_i + type_ii)
     ci_halfwidth = 3.0 * math.sqrt(0.25 / cfg.trials)
     return {
-        "kind": "lr_test_error",
-        "n": cfg.n,
-        "delta": cfg.delta,
-        "trials": cfg.trials,
-        "seed": cfg.seed,
+        **_trial_header("lr_test_error", cfg),
         "type_i": type_i,
         "type_ii": type_ii,
         "empirical_error": empirical_error,

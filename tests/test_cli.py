@@ -281,6 +281,17 @@ class TestBenchAndDistinguish:
         payload = json.loads(out.read_text())
         assert payload["empirical_error"] >= payload["delta_floor"]
 
+    def test_distinguish_csv_header(self, two_point_file, capsys):
+        code = run(
+            "distinguish", "--in", two_point_file, "--pair", two_point_file,
+            "--n", "200", "--delta", "0.05", "--trials", "200", "--format", "csv",
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == "distribution,n,delta,trials,seed,empirical_error,ci_halfwidth,pass"
+        assert len(lines) == 2
+        assert lines[1].startswith("two_point,200,0.05,200,0,")
+
     def test_env_seed_default(self, two_point_file, tmp_path, monkeypatch):
         monkeypatch.setenv("ADVMEAN_SEED", "11")
         out = tmp_path / "bench.json"

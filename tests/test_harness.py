@@ -283,6 +283,26 @@ def test_each_core_is_trimmed_once(name, monkeypatch):
     assert counts == [1, 1, 4]
 
 
+@pytest.mark.parametrize("bench", ["bench_mom", "lr_test_error"])
+def test_one_stream_per_trial(bench, two_point, monkeypatch):
+    # The randomness contract: trial t draws only from the stream of
+    # (cfg.seed, t), made once per trial.
+    calls = []
+    real_stream = harness.trial_stream
+
+    def recording_stream(seed, trial):
+        calls.append((seed, trial))
+        return real_stream(seed, trial)
+
+    monkeypatch.setattr(harness, "trial_stream", recording_stream)
+    cfg = TrialConfig(n=140, delta=0.05, trials=6, seed=7)
+    if bench == "bench_mom":
+        bench_mom(two_point, cfg)
+    else:
+        lr_test_error(two_point, construct_q(two_point, 1000, 0.05).q, cfg)
+    assert sorted(calls) == [(7, t) for t in range(6)]
+
+
 class TestBenchMom:
     @pytest.mark.parametrize(
         "x, n",
