@@ -4,7 +4,8 @@ Subcommands: ``construct``, ``verify``, ``neighborhood``, ``bench-mom``,
 ``distinguish``, ``scan``, ``gen``.  Distributions are read and written as
 ``{"atoms": [{"x": ..., "w": ...}, ...]}`` JSON; reports are JSON (or CSV for
 the tabular commands).  Output files are byte-stable: keys are sorted and
-floats use their shortest round-trip form.
+floats use their shortest round-trip form.  ``construct`` and ``gen`` write
+with ``distribution_json``, byte for byte ``json.dumps(indent=2, sort_keys=True)``.
 
 Exit codes: 0 pass, 1 a checked condition failed, 2 usage or parse error,
 3 degenerate or regime-refused input without ``--override-regime``.
@@ -26,7 +27,7 @@ from pathlib import Path
 
 from . import corpus
 from .adversary import REGIME_DELTA_MAX, REGIME_RATIO_MAX, construct_q, regime_flags
-from .distribution import distribution_to_dict, load_distribution
+from .distribution import distribution_json, load_distribution
 from .errors import DegenerateError, DomainError, RegimeError
 from .harness import (
     TrialConfig,
@@ -110,8 +111,7 @@ def _cmd_construct(args) -> int:
     p = _load(args.infile)
     _regime(args)
     res = construct_q(p, args.n, args.delta)
-    payload = {**distribution_to_dict(res.q), "meta": res.meta}
-    _emit(_json_bytes(payload), args.out)
+    _emit(distribution_json(res.q, res.meta), args.out)
     return EXIT_PASS
 
 
@@ -173,7 +173,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    _emit(_json_bytes(distribution_to_dict(corpus.build(args.name))), args.out)
+    _emit(distribution_json(corpus.build(args.name)), args.out)
     return EXIT_PASS
 
 

@@ -374,8 +374,21 @@ def distribution_from_dict(payload: dict) -> AtomicDistribution:
     return AtomicDistribution(xs_arr, ws_arr / total)
 
 
-def distribution_to_dict(d: AtomicDistribution) -> dict:
-    return {"atoms": [{"x": x, "w": w} for x, w in zip(d.xs.tolist(), d.ws.tolist())]}
+def distribution_json(d: AtomicDistribution, meta: dict | None = None) -> str:
+    """``d``, and ``meta`` when given, as a distribution file: exactly
+    ``json.dumps({"atoms": [{"x": x, "w": w}, ...], "meta": meta}, indent=2,
+    sort_keys=True) + "\\n"``.  With ``indent``, ``json`` walks every atom in
+    pure Python, so the atoms are written one f-string each; they are finite,
+    so ``repr`` is the float form ``json`` writes."""
+    atoms = ",\n".join(
+        f'    {{\n      "w": {w!r},\n      "x": {x!r}\n    }}'
+        for x, w in zip(d.xs.tolist(), d.ws.tolist())
+    )
+    text = f'{{\n  "atoms": [\n{atoms}\n  ]'
+    if meta is not None:
+        meta_text = json.dumps(meta, indent=2, sort_keys=True).replace("\n", "\n  ")
+        text += f',\n  "meta": {meta_text}'
+    return text + "\n}\n"
 
 
 def load_distribution(path) -> AtomicDistribution:

@@ -6,6 +6,9 @@ property tests; the invariants under test are about measure arithmetic, not
 about resolving sub-ulp distance ties.
 """
 
+import math
+import random
+
 import hypothesis.strategies as st
 import pytest
 
@@ -52,6 +55,18 @@ def symmetric_distributions(draw, max_half_atoms=5, span=50):
     xs.extend(0.25 * o for o in offsets)
     ws.extend(m / total for m in masses)
     return AtomicDistribution(xs, ws)
+
+
+def wide_member(seed: int = 0, atoms: int = 10_001) -> dict:
+    """A jittered N(0, 1) grid on [-6, 6] holding 99.9% of the mass, plus an
+    outlier at 1000 holding 0.1%, as a ``{"atoms": [...]}`` payload."""
+    rng = random.Random(seed)
+    step = 12.0 / (atoms - 1)
+    xs = [-6.0 + step * (i + rng.uniform(-0.25, 0.25)) for i in range(atoms)]
+    ws = [math.exp(-0.5 * x * x) for x in xs]
+    total = math.fsum(ws)
+    atoms_list = [{"x": x, "w": 0.999 * w / total} for x, w in zip(xs, ws)]
+    return {"atoms": atoms_list + [{"x": 1000.0, "w": 0.001}]}
 
 
 @pytest.fixture

@@ -1,6 +1,8 @@
 """Reference implementations used only as test oracles."""
 
+import json
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -19,6 +21,15 @@ def affine(d: AtomicDistribution, s: float, c: float) -> AtomicDistribution:
     """``d`` with every position mapped to ``x * s + c`` (re-sorted for
     negative ``s``)."""
     return AtomicDistribution(d.xs * s + c, d.ws)
+
+
+def distribution_json_reference(d: AtomicDistribution, meta=None) -> str:
+    """A distribution file as the stdlib encoder writes it: one dict per
+    atom, ``meta`` beside ``atoms`` when given."""
+    payload = {"atoms": [{"x": x, "w": w} for x, w in zip(d.xs.tolist(), d.ws.tolist())]}
+    if meta is not None:
+        payload["meta"] = meta
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def bhattacharyya(p: AtomicDistribution, q: AtomicDistribution) -> float:
@@ -99,6 +110,35 @@ def log_ratio(wp, wq):
     if wp == 0.0:
         return math.inf
     return math.log(wq / wp)
+
+
+def exact_lr_error(p: AtomicDistribution, q: AtomicDistribution, n: int) -> Fraction:
+    """The exact equal-prior error of ``lr_test_error`` with ``n`` draws per
+    trial, for ``p`` and ``q`` on the same two atoms.
+
+    A trial that draws the first atom ``k`` times has the statistic
+    ``k t0 + (n - k) t1`` over the float log-ratio table ``(t0, t1)``; its
+    sign is decided in ``Fraction``s, as the count-based statistic decides
+    it, and a tie counts 1/2.  Each source draws its first atom with the
+    sampler's probability: the share of ``random()``'s 2^-53 grid below
+    ``cum[0]``."""
+    if not (p.num_atoms == q.num_atoms == 2 and np.array_equal(p.xs, q.xs)):
+        raise DomainError("oracle takes two distributions on the same two atoms")
+    t0, t1 = (Fraction(log_ratio(wp, wq)) for wp, wq in zip(p.ws.tolist(), q.ws.tolist()))
+    grid = 1 << 53
+
+    def wrong(d, sign):  # 2 grid^n P(d's trial errs); it errs on statistics of `sign`
+        a = math.ceil(Fraction(d.ws[0]) * grid)
+        b = grid - a
+        total, term = 0, b**n  # term = comb(n, k) a^k b^(n - k)
+        for k in range(n + 1):
+            lam = k * t0 + (n - k) * t1
+            total += term * (2 if (lam > 0) - (lam < 0) == sign else lam == 0)
+            if k < n:
+                term = term * (n - k) * a // ((k + 1) * b)
+        return total
+
+    return Fraction(wrong(p, 1) + wrong(q, -1), 4 * grid**n)
 
 
 def lr_wrong_reversed(p, q, cfg):

@@ -4,11 +4,11 @@ import pytest
 
 from advmean import AtomicDistribution, construct_q, load_distribution
 from advmean.cli import main
-from advmean.distribution import distribution_to_dict
+from advmean.distribution import distribution_json
 
 
 def write_distribution(path, d):
-    path.write_text(json.dumps(distribution_to_dict(d), indent=2, sort_keys=True))
+    path.write_text(distribution_json(d))
     return str(path)
 
 

@@ -9,6 +9,8 @@ import hypothesis.strategies as st
 from advmean import (
     AtomicDistribution,
     DomainError,
+    construct_q,
+    corpus,
     epsilon,
     mean,
     mixture,
@@ -19,12 +21,12 @@ from advmean import (
 )
 from advmean.distribution import (
     distribution_from_dict,
-    distribution_to_dict,
+    distribution_json,
     load_distribution,
 )
 
-from conftest import atomic_distributions, symmetric_distributions
-from oracles import affine
+from conftest import atomic_distributions, symmetric_distributions, wide_member
+from oracles import affine, distribution_json_reference
 
 
 class TestConstruction:
@@ -231,9 +233,7 @@ class TestAffine:
 class TestFileFormat:
     def test_round_trip(self, tmp_path, asym_two_point):
         path = tmp_path / "d.json"
-        path.write_text(
-            json.dumps(distribution_to_dict(asym_two_point), indent=2, sort_keys=True)
-        )
+        path.write_text(distribution_json(asym_two_point))
         assert load_distribution(path) == asym_two_point
 
     def test_loader_sorts_and_renormalizes(self, tmp_path):
@@ -260,4 +260,57 @@ class TestFileFormat:
             distribution_from_dict({"atoms": [{"x": 0.0}]})
 
     def test_dict_round_trip(self, two_point):
-        assert distribution_from_dict(distribution_to_dict(two_point)) == two_point
+        assert distribution_from_dict(json.loads(distribution_json(two_point))) == two_point
+
+
+# Floats whose repr is an edge of json's float form: signed zero, the
+# smallest subnormal, the largest finite value, and the switch to exponent form.
+EDGE_FLOATS = [
+    -0.0, 5e-324, 2.225073858507201e-308, 1.7976931348623157e308,
+    -1.7976931348623157e308, 1e16, 9999999999999998.0, 1e-5, 0.0001, 1e22,
+]
+EDGE_MASSES = [5e-324, 1e-310, 2.225073858507201e-308, 1e-16, 1e-5, 0.0001, 0.25]
+# The partner records of both construction branches at n=1000, delta=0.05.
+METAS = [None] + [
+    construct_q(corpus.build(name), 1000, 0.05).meta
+    for name in ("two_point_symmetric", "two_point_asymmetric")
+]
+
+
+@st.composite
+def edge_distributions(draw):
+    """Up to 20 atoms at arbitrary finite or edge positions; all but one mass
+    arbitrary in (0, 0.04] or an edge mass, the last taking up the rest."""
+    position = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+    xs = draw(st.lists(position, min_size=1, max_size=20, unique_by=lambda x: x))
+    mass = st.floats(min_value=5e-324, max_value=0.04) | st.sampled_from(EDGE_MASSES[:-1])
+    ws = draw(st.lists(mass, min_size=len(xs) - 1, max_size=len(xs) - 1))
+    return AtomicDistribution(xs, ws + [1.0 - math.fsum(ws)])
+
+
+class TestWriter:
+    """``distribution_json`` writes exactly the stdlib encoder's bytes."""
+
+    @given(edge_distributions(), st.sampled_from(METAS))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_json_dumps(self, d, meta):
+        assert distribution_json(d, meta) == distribution_json_reference(d, meta)
+
+    @pytest.mark.parametrize("meta", METAS)
+    def test_edges(self, meta):
+        singles = [AtomicDistribution([x], [1.0]) for x in EDGE_FLOATS]
+        rest = 1.0 - math.fsum(EDGE_MASSES)
+        masses = AtomicDistribution(range(len(EDGE_MASSES) + 1), [*EDGE_MASSES, rest])
+        for d in [*singles, masses]:
+            assert distribution_json(d, meta) == distribution_json_reference(d, meta)
+
+    @pytest.mark.parametrize("name", [*corpus.names(), "wide"])
+    def test_members(self, name):
+        if name == "wide":
+            p = distribution_from_dict(wide_member())
+            assert p.num_atoms == 10_002
+        else:
+            p = corpus.build(name)
+        q = construct_q(p, 1000, 0.05)
+        assert distribution_json(p) == distribution_json_reference(p)
+        assert distribution_json(q.q, q.meta) == distribution_json_reference(q.q, q.meta)

@@ -17,6 +17,14 @@ against the member itself (every trial a tie, so the coin pins the stream
 state after the draws), and both again at 70,000 draws per trial, past one
 draw chunk.  Regenerate with
 ``t.monte_carlo_digests()`` into ``tests/expected/monte_carlo_digests.json``.
+
+The CLI's distribution files are pinned as written: ``gen --out`` for every
+corpus member, ``construct --out`` for every member over the 9-cell grid,
+and ``construct --out`` on a seeded 10^4-atom member (a jittered Gaussian
+grid with a 0.1% outlier, so n=1000 takes the mixture branch) at
+n in {10^3, 10^4, 10^5}, delta=0.01.  Regenerate with
+``t.cli_file_digests(Path(tempfile.mkdtemp()))`` into
+``tests/expected/cli_file_digests.json``.
 """
 
 import hashlib
@@ -24,6 +32,7 @@ import json
 from pathlib import Path
 
 from advmean import AtomicDistribution, DegenerateError, construct_q, corpus
+from advmean.cli import main
 from advmean.harness import (
     TrialConfig,
     bench_mom,
@@ -33,8 +42,11 @@ from advmean.harness import (
     verify_theorem,
 )
 
+from conftest import wide_member
+
 EXPECTED = Path(__file__).resolve().parent / "expected" / "report_digests.json"
 EXPECTED_MC = EXPECTED.with_name("monte_carlo_digests.json")
+EXPECTED_CLI = EXPECTED.with_name("cli_file_digests.json")
 CELLS = [(n, d) for n in (1000, 10000, 100000) for d in (0.05, 0.01, 0.001)]
 CELLS.append((100, 0.3))
 
@@ -97,3 +109,32 @@ def monte_carlo_digests() -> dict:
 
 def test_monte_carlo_digests():
     assert monte_carlo_digests() == json.loads(EXPECTED_MC.read_text())
+
+
+def cli_file_digests(workdir: Path) -> dict:
+    def written(argv: list[str], out: Path) -> bytes:
+        assert main([*argv, "--out", str(out)]) == 0, argv
+        return out.read_bytes()
+
+    def construct(path: Path, cells) -> str:
+        h = hashlib.sha256()
+        for n, delta in cells:
+            argv = ["construct", "--in", str(path), "--n", str(n), "--delta", str(delta)]
+            h.update(written(argv, workdir / "q.json"))
+        return h.hexdigest()
+
+    out = {}
+    for member in corpus.names():
+        path = workdir / f"{member}.json"
+        out[f"gen/{member}"] = hashlib.sha256(
+            written(["gen", "--name", member], path)
+        ).hexdigest()
+        out[f"construct/{member}"] = construct(path, CELLS[:9])
+    wide = workdir / "wide.json"
+    wide.write_text(json.dumps(wide_member()), encoding="utf-8")
+    out["construct/wide"] = construct(wide, [(n, 0.01) for n in (1000, 10000, 100000)])
+    return out
+
+
+def test_cli_file_digests(tmp_path):
+    assert cli_file_digests(tmp_path) == json.loads(EXPECTED_CLI.read_text())

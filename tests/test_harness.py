@@ -17,6 +17,7 @@ from advmean import (
     asymptotic_scan,
     bench_mom,
     construct_q,
+    hellinger_sq,
     lr_test_error,
     mean,
     sample,
@@ -28,7 +29,7 @@ from advmean import (
 from advmean import corpus
 from advmean import distribution, harness
 
-from oracles import brute_force_trim, lr_wrong_reversed
+from oracles import brute_force_trim, exact_lr_error, lr_wrong_reversed
 
 
 def random_small_instance(rng):
@@ -408,6 +409,27 @@ class TestLrTestError:
             lr_test_error(
                 two_point, two_point, TrialConfig(n=10, delta=0.05, trials=11, seed=0)
             )
+
+
+class TestExactLrError:
+    """On two atoms the LR statistic depends only on a binomial count, so the
+    test's error has an exact value to hold the Monte Carlo to."""
+
+    @pytest.mark.parametrize("name", ["two_point_symmetric", "two_point_asymmetric"])
+    def test_monte_carlo_and_le_cam(self, name):
+        p = corpus.build(name)
+        q = construct_q(p, 1000, 0.05).q
+        exact = float(exact_lr_error(p, q, 1000))
+        rep = lr_test_error(p, q, TrialConfig(n=1000, delta=0.05, trials=2000, seed=0))
+        assert abs(rep["empirical_error"] - exact) <= rep["ci_halfwidth"]
+        # Le Cam: the error is at least (1 - TV(p^n, q^n)) / 2, and
+        # TV^2 <= 1 - BC^(2n) with BC = 1 - hellinger_sq.
+        bc = 1.0 - hellinger_sq(p, q)
+        assert exact >= 0.5 * (1.0 - math.sqrt(1.0 - bc ** (2 * 1000)))
+
+    def test_identical_pair_is_a_coin(self, two_point):
+        # every statistic is 0, so every trial is a tie
+        assert exact_lr_error(two_point, two_point, 7) == Fraction(1, 2)
 
 
 def _decision(lam):
