@@ -10,16 +10,17 @@ Run:  python demos/01_trimming_and_error_bound.py
 
 import math
 
-from advmean import asymptotic_scan, epsilon, mean, standard_trim, std, variance
+from advmean import asymptotic_scan, epsilon, standard_trim
 from advmean import corpus
 
 
 def describe(name, d, n, delta):
     res = standard_trim(d, n, delta)
     core = res.trimmed
-    print(f"\n{name}: {d.num_atoms} atoms, mean {mean(d):.6g}, std {std(d):.6g}")
+    print(f"\n{name}: {d.num_atoms} atoms, mean {d.mean:.6g}, "
+          f"std {math.sqrt(d.variance):.6g}")
     print(f"  trimmed mass t = {res.trimmed_mass:.3e}, radius r = {res.radius:.6g}")
-    print(f"  core mean {mean(core):.6g}, core std {std(core):.6g}")
+    print(f"  core mean {core.mean:.6g}, core std {math.sqrt(core.variance):.6g}")
     print(f"  error bound eps = {epsilon(d, n, delta):.6g}")
 
 
@@ -42,7 +43,7 @@ def main():
 
     sym = members["two_point_symmetric"]
     print(f"\nsymmetric two-point limit: sqrt(4.5) * sigma = "
-          f"{math.sqrt(4.5) * math.sqrt(variance(sym)):.10f}")
+          f"{math.sqrt(4.5) * math.sqrt(sym.variance):.10f}")
     print("(the symmetric column sits at that limit for every n)")
 
 

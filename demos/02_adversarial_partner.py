@@ -8,7 +8,7 @@ ratio, and the variance growth.
 Run:  python demos/02_adversarial_partner.py
 """
 
-from advmean import construct_q, variance, verify_theorem
+from advmean import construct_q, verify_theorem
 from advmean import corpus
 
 N, DELTA = 1000, 0.05
@@ -30,7 +30,7 @@ def main():
               f"eps/32 = {diag['epsilon_p'] / 32:.6g})")
         print(f"  sup dq/dp = {diag['sup_ratio']:.6g}, "
               f"H^2 = {diag['hellinger_sq']:.3e}")
-        print(f"  var(q)/var(p) = {variance(res.q) / variance(d):.4f}")
+        print(f"  var(q)/var(p) = {res.q.variance / d.variance:.4f}")
 
         report = verify_theorem(d, N, DELTA)
         verdict = "all conditions hold" if report["pass"] else "FAILED"

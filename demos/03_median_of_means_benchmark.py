@@ -15,7 +15,6 @@ import numpy as np
 from advmean import (
     TrialConfig,
     bench_mom,
-    mean,
     median_of_means,
     sample,
     sample_mean,
@@ -36,7 +35,7 @@ def main():
               f"{'ok' if rep['pass'] else 'FAIL'}")
 
     d = corpus.build("two_point_asymmetric")
-    mu = mean(d)
+    mu = d.mean
     n = 300  # outlier mass 0.001 -> most 300-sample batches see at most one
     print(f"\nestimate spread on two_point_asymmetric, n = {n} "
           f"(true mean {mu:.6g}), 2000 trials:")

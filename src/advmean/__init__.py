@@ -12,12 +12,9 @@ from .distribution import (
     TrimResult,
     epsilon,
     load_distribution,
-    mean,
     mixture,
     standard_trim,
-    std,
     trim,
-    variance,
 )
 from .divergence import hellinger_sq
 from .errors import (

@@ -34,7 +34,7 @@ keys are ``case`` (``"large_mean_shift"`` or ``"small_mean_shift"``),
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from .distribution import (
     align,
     check_budget,
     core_stats,
-    mean,
     mixture,
 )
 from .divergence import hellinger_sq
@@ -71,8 +70,7 @@ def regime_flags(n: float, delta: float) -> dict:
 
 @dataclass(frozen=True)
 class AdversaryResult:
-    """The partner ``q``, its construction record ``meta``, and ``p``'s core
-    statistics ``stats`` (kept for the verifiers, never serialized).
+    """The partner ``q`` and its construction record ``meta``.
 
     ``meta`` holds ``case``; the mixing weight ``lambda`` (large gap); the
     skew slope ``a``, ``sign`` and rescale ``b`` (small gap), each ``None`` on
@@ -83,7 +81,6 @@ class AdversaryResult:
 
     q: AtomicDistribution
     meta: dict
-    stats: CoreStats = field(repr=False, compare=False)
 
     def meta_dict(self) -> dict:
         """A copy of ``meta``, nested dicts included, for the caller to extend."""
@@ -147,12 +144,11 @@ def pair_diagnostics(
     p: AtomicDistribution, q: AtomicDistribution, stats: CoreStats
 ) -> dict:
     """Measured values of the pair ``(p, q)``; ``stats`` are ``p``'s."""
-    mu_q = mean(q)
     return {
         "epsilon_p": stats.eps,
-        "mu_p": stats.mu,
-        "mu_q": mu_q,
-        "mean_shift": abs(mu_q - stats.mu),
+        "mu_p": p.mean,
+        "mu_q": q.mean,
+        "mean_shift": abs(q.mean - p.mean),
         "sup_ratio": density_ratio(q, p),
         "hellinger_sq": hellinger_sq(p, q),
     }
@@ -192,10 +188,8 @@ def construct_q(p: AtomicDistribution, n: float, delta: float) -> AdversaryResul
         target = MEAN_SHIFT_TARGET_COEFF * stats.sigma_star * root
         # Positions stay p's own, bitwise, as the support-sensitive ratio and
         # Hellinger checks require; only the masses are reweighted.
-        dev = p.xs - stats.mu
-        a, saturated = _bisect_skew(
-            dev, p.ws, stats.var, target, root / stats.sigma_star
-        )
+        dev = p.xs - p.mean
+        a, saturated = _bisect_skew(dev, p.ws, p.variance, target, root / stats.sigma_star)
         clamp = np.clip(a * dev, -1.0, 1.0)
         plus, minus = p.ws * (1.0 + clamp), p.ws * (1.0 - clamp)
         mass_plus, mass_minus = math.fsum(plus.tolist()), math.fsum(minus.tolist())
@@ -216,4 +210,4 @@ def construct_q(p: AtomicDistribution, n: float, delta: float) -> AdversaryResul
         "regime": flags,
         "diagnostics": pair_diagnostics(p, q, stats),
     }
-    return AdversaryResult(q, meta, stats)
+    return AdversaryResult(q, meta)

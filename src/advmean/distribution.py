@@ -3,9 +3,10 @@
 Everything downstream works with probability measures supported on finitely
 many points, so every integral is a finite sum and every density ratio is a
 per-atom mass ratio.  This module provides the value type
-(:class:`AtomicDistribution`, with its inverse-CDF sampling table), moments,
-the radial trimming operation, the trimmed-core statistics and error bound,
-support alignment, mixing, and the JSON file format used by the CLI.
+(:class:`AtomicDistribution`, with its ``mean`` and ``variance`` and its
+inverse-CDF sampling table, each computed once), the radial trimming
+operation, the trimmed-core statistics and error bound, support alignment,
+mixing, and the JSON file format used by the CLI.
 
 Numerical conventions
 ---------------------
@@ -80,6 +81,16 @@ def _prepare_atoms(xs, ws) -> tuple[np.ndarray, np.ndarray, float]:
     return xs, ws, total
 
 
+def _quiet_fsum(terms) -> float:
+    """``fsum`` of the array ``terms()``; float64 overflow, in ``terms()`` or
+    in the sum, gives ``inf`` without a warning."""
+    with np.errstate(over="ignore"):
+        try:
+            return math.fsum(terms().tolist())
+        except OverflowError:
+            return math.inf
+
+
 @dataclass(frozen=True, eq=False)
 class AtomicDistribution:
     """A probability measure on finitely many points.
@@ -99,6 +110,20 @@ class AtomicDistribution:
             raise DomainError(f"masses sum to {total!r}, expected 1 within {MASS_TOL}")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ws", ws)
+
+    @functools.cached_property
+    def mean(self) -> float:
+        """First moment, exactly rounded; :class:`DomainError` on overflow."""
+        mu = _quiet_fsum(lambda: self.ws * self.xs)
+        if math.isinf(mu):
+            raise DomainError("mean overflows float64; rescale the positions")
+        return mu
+
+    @functools.cached_property
+    def variance(self) -> float:
+        """Centered second moment via two passes (:attr:`mean` first, then
+        deviations); ``inf`` when it overflows float64."""
+        return _quiet_fsum(lambda: self.ws * (dev := self.xs - self.mean) * dev)
 
     @functools.cached_property
     def _guide_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -162,22 +187,6 @@ class TrimResult:
     trimmed_mass: float
 
 
-def mean(d: AtomicDistribution) -> float:
-    """First moment, exactly rounded."""
-    return math.fsum((d.ws * d.xs).tolist())
-
-
-def variance(d: AtomicDistribution) -> float:
-    """Centered second moment via two passes (mean first, then deviations)."""
-    mu = mean(d)
-    dev = d.xs - mu
-    return math.fsum((d.ws * dev * dev).tolist())
-
-
-def std(d: AtomicDistribution) -> float:
-    return math.sqrt(max(variance(d), 0.0))
-
-
 def trim(d: AtomicDistribution, t: float) -> TrimResult:
     """Condition ``d`` on the smallest symmetric interval around its mean
     holding at least ``1 - t`` mass.
@@ -189,8 +198,7 @@ def trim(d: AtomicDistribution, t: float) -> TrimResult:
     """
     if not 0.0 <= t < 1.0:
         raise DomainError(f"trim fraction must lie in [0, 1), got {t!r}")
-    mu = mean(d)
-    dist = np.abs(d.xs - mu)
+    dist = np.abs(d.xs - d.mean)
     if t == 0.0:
         return TrimResult(
             trimmed=d,
@@ -249,19 +257,17 @@ def standard_trim(d: AtomicDistribution, n: float, delta: float) -> TrimResult:
 
 @dataclass(frozen=True)
 class CoreStats:
-    """The error-bound quantities of ``d`` at the budget ``(n, delta)``.
+    """The error-bound quantities of ``d`` at the budget ``(n, delta)``; ``d``
+    itself carries its ``mean`` and ``variance``.
 
-    ``mu`` and ``var`` are ``d``'s moments, ``sigma_star`` the standard
-    deviation of its trimmed ``core``, and ``gap = |mu - mu_star|`` with
-    ``mu_star`` the core's mean.  ``rate`` is
+    ``sigma_star`` is the standard deviation of ``d``'s trimmed ``core``, and
+    ``gap = |mu - mu_star|`` with ``mu_star`` the core's mean.  ``rate`` is
     ``sqrt(ERROR_COEFF * log(1/delta) / n)``, ``threshold = sigma_star * rate``
     is the deviation term whose comparison with ``gap`` picks the
     construction branch, and ``eps = gap + threshold`` is the error bound.
     """
 
     core: AtomicDistribution
-    mu: float
-    var: float
     sigma_star: float
     gap: float
     rate: float
@@ -270,25 +276,20 @@ class CoreStats:
 
 
 def core_stats(d: AtomicDistribution, n: float, delta: float) -> CoreStats:
-    """Trim ``d`` once and derive every quantity of the error bound from it.
-
-    Raises :class:`DomainError` when ``d``'s mean or variance overflows
-    float64, since no bound computed from them would be meaningful.
-    """
-    mu = mean(d)
-    with np.errstate(over="ignore"):
-        var = variance(d)
-    if not (math.isfinite(mu) and math.isfinite(var)):
+    """Trim ``d`` once and derive the error bound from the moments of ``d``
+    and its core; :class:`DomainError` when ``d``'s mean or variance
+    overflows float64, since no bound computed from them would be meaningful."""
+    if not math.isfinite(d.variance):
         raise DomainError(
-            f"moments overflow float64 (mean {mu!r}, variance {var!r}); "
+            f"moments overflow float64 (mean {d.mean!r}, variance {d.variance!r}); "
             "rescale the positions"
         )
     core = standard_trim(d, n, delta).trimmed
-    sigma_star = std(core)
-    gap = abs(mu - mean(core))
+    sigma_star = math.sqrt(core.variance)
+    gap = abs(d.mean - core.mean)
     rate = math.sqrt(ERROR_COEFF * math.log(1.0 / delta) / n)
     threshold = sigma_star * rate
-    return CoreStats(core, mu, var, sigma_star, gap, rate, threshold, gap + threshold)
+    return CoreStats(core, sigma_star, gap, rate, threshold, gap + threshold)
 
 
 def epsilon(d: AtomicDistribution, n: float, delta: float) -> float:

@@ -43,12 +43,10 @@ import numpy as np
 from .adversary import _require_partner, construct_q, pair_diagnostics, regime_flags
 from .distribution import (
     AtomicDistribution,
-    CoreStats,
     align,
     check_budget,
     core_stats,
     epsilon,
-    variance,
 )
 from .errors import DegenerateError, DomainError, InsufficientSamplesError
 from .estimators import group_count, median_of_means
@@ -149,13 +147,13 @@ def _closeness_rows(diag: dict, n: int, delta: float) -> list[tuple]:
 
 
 def _pair_rows(
-    q: AtomicDistribution, n: int, delta: float, stats: CoreStats, diag: dict
+    p: AtomicDistribution, q: AtomicDistribution, n: int, delta: float, diag: dict
 ) -> list[tuple]:
-    eps_p, var_p, shift = stats.eps, stats.var, diag["mean_shift"]
+    eps_p, var_p, shift = diag["epsilon_p"], p.variance, diag["mean_shift"]
     return [
         ("mean_separation", shift, eps_p / 32.0, MEAN_SHIFT_TOL, "ge"),
         *_closeness_rows(diag, n, delta),
-        ("variance_doubling", variance(q), 2.0 * var_p,
+        ("variance_doubling", q.variance, 2.0 * var_p,
          VARIANCE_TOL * (1.0 + var_p), "le"),
         ("estimator_separation", shift, 2.0 * (eps_p / 64.0), MEAN_SHIFT_TOL, "ge"),
     ]
@@ -173,7 +171,7 @@ def verify_pair(
     except DegenerateError as exc:
         meta = {"mode": "pair", "reason": str(exc)}
         return _report("indistinguishable_pair", flags, (), meta)
-    rows = _pair_rows(q, n, delta, stats, pair_diagnostics(p, q, stats))
+    rows = _pair_rows(p, q, n, delta, pair_diagnostics(p, q, stats))
     return _report("indistinguishable_pair", flags, rows, {"mode": "pair"})
 
 
@@ -195,7 +193,7 @@ def verify_theorem(p: AtomicDistribution, n: int, delta: float) -> dict:
     density-ratio, and variance guarantees at their stated tolerances."""
     return _verify_partner(
         "indistinguishable_pair", p, n, delta,
-        lambda res, meta: _pair_rows(res.q, n, delta, res.stats, meta["diagnostics"]),
+        lambda res, meta: _pair_rows(p, res.q, n, delta, meta["diagnostics"]),
     )
 
 
@@ -207,7 +205,8 @@ def verify_neighborhood(p: AtomicDistribution, n: int, delta: float) -> dict:
     endpoints."""
 
     def rows(res, meta):
-        eps_p, diag = res.stats.eps, meta["diagnostics"]
+        diag = meta["diagnostics"]
+        eps_p = diag["epsilon_p"]
         eps_q_shrunk = epsilon(res.q, n / SAMPLE_SHRINK, delta)
         meta["composite_bound_p"] = min(epsilon(p, n / SAMPLE_SHRINK, delta), eps_p)
         meta["composite_bound_q"] = min(eps_q_shrunk, epsilon(res.q, n, delta))
@@ -248,7 +247,7 @@ def bench_mom(p: AtomicDistribution, cfg: TrialConfig) -> dict:
     if cfg.n < k:
         raise InsufficientSamplesError(k, cfg.n)
     stats = core_stats(p, cfg.n, cfg.delta)
-    mu_p = stats.mu
+    mu_p = p.mean
     bound = stats.gap + 3.0 * stats.sigma_star * stats.rate
     limit = bound + MOM_ROUNDING_TOL * float(np.abs(p.xs).max())
 

@@ -1,13 +1,16 @@
 """Shared strategies and fixtures.
 
-Generated distributions use grid positions (quarter-integers) and rational
-masses so that near-tie pathologies of adversarial floats stay out of the
-property tests; the invariants under test are about measure arithmetic, not
-about resolving sub-ulp distance ties.
+Most generated distributions use grid positions (quarter-integers) and
+rational masses so that near-tie pathologies of adversarial floats stay out
+of the property tests; the invariants under test are about measure
+arithmetic, not about resolving sub-ulp distance ties.  Only
+``adversarial_distributions``, for the float error bounds checked against
+the exact oracles, draws arbitrary finite floats.
 """
 
 import math
 import random
+import sys
 
 import hypothesis.strategies as st
 import pytest
@@ -55,6 +58,39 @@ def symmetric_distributions(draw, max_half_atoms=5, span=50):
     xs.extend(0.25 * o for o in offsets)
     ws.extend(m / total for m in masses)
     return AtomicDistribution(xs, ws)
+
+
+FLOAT_MAX = sys.float_info.max
+EDGE_FLOATS = [5e-324, 2.2250738585072014e-308, 1e-300, 1.0, 1e300,
+               math.nextafter(FLOAT_MAX, 0.0), FLOAT_MAX]
+
+
+@st.composite
+def adversarial_distributions(draw, max_atoms=8):
+    """Finite positions at adversarial scales, in one of three modes: any
+    finite float or edge value (subnormals and +-1.8e308 among them); one
+    binary exponent in [-1074, 1024] shared by every atom, so that instances
+    near overflow or underflow keep a finite variance often enough to check
+    it; or every atom on one of the two largest floats, where the mean
+    overflows once the masses sum past 1.  Masses are drawn from [1e-300, 1]
+    and scaled to unit sum."""
+    n = draw(st.integers(min_value=1, max_value=max_atoms))
+    mode = draw(st.sampled_from(["any", "shared_exponent", "top"]))
+    if mode == "any":
+        edge = st.sampled_from(EDGE_FLOATS + [-x for x in EDGE_FLOATS])
+        position = st.one_of(st.floats(allow_nan=False, allow_infinity=False), edge)
+    elif mode == "shared_exponent":
+        e = draw(st.integers(min_value=-1074, max_value=1024))
+        mantissa = st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)
+        position = mantissa.map(lambda m: math.ldexp(m, e))
+    else:
+        position = st.sampled_from(EDGE_FLOATS[-2:])
+    xs = draw(st.lists(position, min_size=n, max_size=n))
+    masses = draw(
+        st.lists(st.floats(min_value=1e-300, max_value=1.0), min_size=n, max_size=n)
+    )
+    total = math.fsum(masses)
+    return AtomicDistribution(xs, [m / total for m in masses])
 
 
 def wide_member(seed: int = 0, atoms: int = 10_001) -> dict:

@@ -10,7 +10,6 @@ from advmean import (
     AtomicDistribution,
     DomainError,
     TrimResult,
-    mean,
     sample,
     trial_stream,
 )
@@ -21,6 +20,21 @@ def affine(d: AtomicDistribution, s: float, c: float) -> AtomicDistribution:
     """``d`` with every position mapped to ``x * s + c`` (re-sorted for
     negative ``s``)."""
     return AtomicDistribution(d.xs * s + c, d.ws)
+
+
+def exact_mean(d: AtomicDistribution) -> Fraction:
+    """``sum w_i x_i`` over ``d``'s float atoms, in exact rationals."""
+    return sum(Fraction(w) * Fraction(x) for x, w in zip(d.xs.tolist(), d.ws.tolist()))
+
+
+def exact_variance(d: AtomicDistribution) -> Fraction:
+    """``sum w_i (x_i - E)^2`` around the exact mean ``E``, in exact
+    rationals; like the float path, it takes the masses as they are and does
+    not divide by their sum."""
+    mu = exact_mean(d)
+    return sum(
+        Fraction(w) * (Fraction(x) - mu) ** 2 for x, w in zip(d.xs.tolist(), d.ws.tolist())
+    )
 
 
 def distribution_json_reference(d: AtomicDistribution, meta=None) -> str:
@@ -43,7 +57,7 @@ def bhattacharyya(p: AtomicDistribution, q: AtomicDistribution) -> float:
 def skew_masses(p: AtomicDistribution, a: float) -> tuple[list, list]:
     """The plus and minus skewed masses on ``p``'s atoms, one atom at a time:
     ``w * (1 + min(1, max(-1, ±a (x - mu))))`` around ``p``'s mean."""
-    mu = mean(p)
+    mu = p.mean
     atoms = list(zip(p.xs.tolist(), p.ws.tolist()))
 
     def side(slope):

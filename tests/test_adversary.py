@@ -11,10 +11,7 @@ from advmean import (
     DegenerateError,
     construct_q,
     density_ratio,
-    mean,
     standard_trim,
-    std,
-    variance,
 )
 from advmean import corpus
 from advmean.adversary import _clamped_shift
@@ -28,7 +25,7 @@ LOG_TERM = math.log(20.0)
 
 def mean_shift(d, a):
     """First-moment shift of the skew weight at slope ``a`` around ``d``'s mean."""
-    return _clamped_shift(d.xs - mean(d), d.ws, a)
+    return _clamped_shift(d.xs - d.mean, d.ws, a)
 
 
 class TestMeanShift:
@@ -64,7 +61,7 @@ class TestSolveSkew:
     def test_residual_identity(self, two_point):
         a = construct_q(two_point, N, DELTA).meta["a"]
         core = standard_trim(two_point, N, DELTA).trimmed
-        target = (1 / 8) * std(core) * math.sqrt(LOG_TERM / N)
+        target = (1 / 8) * math.sqrt(core.variance) * math.sqrt(LOG_TERM / N)
         assert mean_shift(two_point, a) / target == pytest.approx(1.0, abs=1e-10)
 
     def test_rejects_dominant_mean_gap(self, asym_two_point):
@@ -81,8 +78,8 @@ class TestSolveSkew:
     @settings(max_examples=100)
     def test_residual_on_random_inputs(self, d):
         core = standard_trim(d, N, DELTA).trimmed
-        sigma_star = std(core)
-        gap = abs(mean(d) - mean(core))
+        sigma_star = math.sqrt(core.variance)
+        gap = abs(d.mean - core.mean)
         assume(sigma_star > 0.0)
         assume(gap <= sigma_star * math.sqrt(4.5 * LOG_TERM / N))
         a = construct_q(d, N, DELTA).meta["a"]
@@ -108,7 +105,7 @@ class TestConstructCase1:
     def test_interpolation_identity(self, asym_two_point):
         res = construct_q(asym_two_point, N, DELTA)
         core = standard_trim(asym_two_point, N, DELTA).trimmed
-        gap = abs(mean(core) - mean(asym_two_point))
+        gap = abs(core.mean - asym_two_point.mean)
         shift = res.meta["diagnostics"]["mean_shift"]
         assert shift == pytest.approx(gap / 4, rel=1e-10)
 
@@ -220,13 +217,13 @@ class TestStructuralProperties:
         assert not meta["saturated"]
         assert all(meta["regime"].values())
         assert diag["sup_ratio"] <= 2.0 + 1e-12
-        var_p = variance(d)
-        assert variance(res.q) <= 2.0 * var_p + 1e-9 * (1.0 + var_p)
+        var_p = d.variance
+        assert res.q.variance <= 2.0 * var_p + 1e-9 * (1.0 + var_p)
         eps_p = diag["epsilon_p"]
         assert diag["mean_shift"] <= eps_p + 1e-9
         core = standard_trim(d, N, DELTA).trimmed
-        gap = abs(mean(d) - mean(core))
-        rate = std(core) * math.sqrt(LOG_TERM / N)
+        gap = abs(d.mean - core.mean)
+        rate = math.sqrt(core.variance) * math.sqrt(LOG_TERM / N)
         if meta["case"] == "large_mean_shift":
             assert diag["mean_shift"] == pytest.approx(gap / 4, rel=1e-10)
             assert diag["mean_shift"] >= eps_p / 8 - 1e-12

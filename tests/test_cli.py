@@ -385,6 +385,38 @@ def test_bad_numbers_exit_two(argv, named, two_point_file, capsys):
     assert err.startswith("error: ") and named in err
 
 
+OVERFLOWING = {
+    # masses within the loader's 1e-9 drift; w * x sums past float64 max
+    "mean": ('{"atoms": [{"x": 1.7976931348623157e+308, "w": 0.44650209247934664}, '
+             '{"x": 1.7976931348623155e+308, "w": 0.5534979072815835}]}',
+             "error: mean overflows float64; rescale the positions\n"),
+    # every w (x - mu)^2 is finite, and their fsum overflows
+    "variance-sum": ('{"atoms": [{"x": -1.4e154, "w": 0.5}, {"x": 1.4e154, "w": 0.5}]}',
+                     "error: moments overflow float64 (mean 0.0, variance inf); "
+                     "rescale the positions\n"),
+}
+
+
+@pytest.mark.parametrize("payload", sorted(OVERFLOWING))
+@pytest.mark.parametrize(
+    "argv",
+    [["construct", "--n", "1000", "--delta", "0.05"],
+     ["verify", "--n", "1000", "--delta", "0.05"],
+     ["verify", "--pair", SAME, "--n", "1000", "--delta", "0.05"],
+     ["neighborhood", "--n", "1000", "--delta", "0.05"],
+     ["bench-mom", "--n", "1000", "--delta", "0.05", "--trials", "2"],
+     ["scan", "--delta", "0.05", "--n-list", "1000"]],
+    ids=["construct", "verify", "verify-pair", "neighborhood", "bench-mom", "scan"],
+)
+def test_overflowing_sum_exit_two(argv, payload, tmp_path, capsys):
+    text, message = OVERFLOWING[payload]
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    rest = [str(path) if a == SAME else a for a in argv[1:]]
+    assert run(argv[0], "--in", str(path), *rest) == 2
+    assert capsys.readouterr().err == message
+
+
 @pytest.mark.parametrize(
     "atoms, named",
     [('{"x": "abc", "w": 1.0}', "has no float64 value: 'abc'"),

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,21 +14,41 @@ from advmean import (
     construct_q,
     corpus,
     epsilon,
-    mean,
     mixture,
     standard_trim,
-    std,
     trim,
-    variance,
+    verify_neighborhood,
 )
 from advmean.distribution import (
+    core_stats,
     distribution_from_dict,
     distribution_json,
     load_distribution,
 )
 
-from conftest import atomic_distributions, symmetric_distributions, wide_member
-from oracles import affine, distribution_json_reference
+from conftest import (
+    adversarial_distributions,
+    atomic_distributions,
+    symmetric_distributions,
+    wide_member,
+)
+from oracles import affine, distribution_json_reference, exact_mean, exact_variance
+
+U = Fraction(1, 2**53)  # float64 unit roundoff
+TINY = Fraction(1, 2**1074)  # smallest subnormal, the spacing below 2^-1022
+NORMAL_MIN = Fraction(1, 2**1022)
+FLOAT_MAX = Fraction(sys.float_info.max)
+GAMMA_5 = 5 * U / (1 - 5 * U)
+
+
+def mean_error_bound(d) -> tuple[Fraction, Fraction]:
+    """``(A, D)``: ``A = sum |w_i x_i|`` and the bound
+    ``D = 2^-52 A + k 2^-1074`` on ``|d.mean - exact_mean(d)|``, with ``k``
+    the products below the normal range (see ``test_mean_within_exact_bound``)."""
+    products = [Fraction(w) * Fraction(x) for x, w in zip(d.xs.tolist(), d.ws.tolist())]
+    total = sum(abs(z) for z in products)
+    k = sum(abs(z) < NORMAL_MIN for z in products)
+    return total, 2 * U * total + k * TINY
 
 
 class TestConstruction:
@@ -57,32 +79,128 @@ class TestConstruction:
 
 class TestMoments:
     def test_mean_point_mass(self):
-        assert mean(AtomicDistribution([0.0], [1.0])) == 0.0
+        assert AtomicDistribution([0.0], [1.0]).mean == 0.0
 
     def test_mean_symmetric(self, two_point):
-        assert mean(two_point) == 0.0
+        assert two_point.mean == 0.0
 
     def test_mean_weighted(self):
         d = AtomicDistribution([0.0, 10.0], [0.9, 0.1])
-        assert mean(d) == pytest.approx(1.0, abs=1e-15)
+        assert d.mean == pytest.approx(1.0, abs=1e-15)
 
     def test_variance_degenerate(self):
-        assert variance(AtomicDistribution([3.5], [1.0])) == 0.0
+        assert AtomicDistribution([3.5], [1.0]).variance == 0.0
 
     def test_variance_unit_two_point(self, two_point):
-        assert variance(two_point) == pytest.approx(1.0, abs=1e-15)
+        assert two_point.variance == pytest.approx(1.0, abs=1e-15)
 
     def test_variance_weighted(self):
         # 0.9 * 1 + 0.1 * 81 around the mean 1
         d = AtomicDistribution([0.0, 10.0], [0.9, 0.1])
-        assert variance(d) == pytest.approx(9.0, rel=1e-14)
+        assert d.variance == pytest.approx(9.0, rel=1e-14)
 
     @given(atomic_distributions(), st.integers(min_value=-40, max_value=40))
     def test_variance_translation_invariant(self, d, c_scaled):
         c = 0.25 * c_scaled
-        assert variance(affine(d, 1.0, c)) == pytest.approx(
-            variance(d), rel=1e-10, abs=1e-12
+        assert affine(d, 1.0, c).variance == pytest.approx(
+            d.variance, rel=1e-10, abs=1e-12
         )
+
+    @given(adversarial_distributions())
+    @settings(max_examples=300)
+    def test_mean_within_exact_bound(self, d):
+        """``d.mean`` is the ``fsum`` of the float products ``fl(w_i x_i)``.
+        With ``u = 2^-53`` and ``v = u / (1 + u)``, rounding to nearest misses
+        a value ``z`` in the normal range by at most ``v |z|`` and one below it
+        by at most ``2^-1075``.  So the products' exact sum ``S`` lies within
+        ``v A + k 2^-1075`` of ``E = exact_mean(d)`` and ``|S| <= (1 + v) A +
+        k 2^-1075``, where ``A = sum |w_i x_i|`` and ``k`` products lie below
+        the normal range.  ``d.mean`` is ``S`` rounded to nearest once, exact
+        below the normal range, where ``S``, a sum of floats, is a float.  In
+        total
+        ``|d.mean - E| <= v (2 + v) A + k 2^-1075 (1 + v) <= 2^-52 A + k 2^-1074``.
+
+        ``fsum`` overflows only when one of its partial sums does, and on at
+        most eight atoms each partial is at most ``(1 + u)^9 A``; so a mean
+        refused for overflow has ``A > FLOAT_MAX / 2``."""
+        total, bound = mean_error_bound(d)
+        try:
+            mu = d.mean
+        except DomainError:
+            assert total > FLOAT_MAX / 2
+            return
+        assert mu == float(sum(Fraction(z) for z in (d.ws * d.xs).tolist()))
+        assert abs(Fraction(mu) - exact_mean(d)) <= bound
+
+    @given(adversarial_distributions())
+    @settings(max_examples=300)
+    def test_variance_within_exact_bound(self, d):
+        """``d.variance`` is the ``fsum`` of ``t_i = fl(fl(w_i dev_i) dev_i)``
+        with ``dev_i = fl(x_i - mu)`` around the float ``mu = d.mean``.
+
+        Against ``S = sum w_i (x_i - mu)^2``, each term carries four roundings
+        of relative size at most ``v`` (``dev_i`` twice, exact when below the
+        normal range, and the two products), and ``fsum`` one more, so the
+        relative error is at most ``(1 + v)^5 - 1 <= GAMMA_5 = 5u / (1 - 5u)``.
+        A product below the normal range adds at most ``2^-1075 |dev_i|``
+        (``fl(w_i dev_i)``) or ``2^-1075`` (``t_i``), each grown by at most
+        ``(1 + u)^2`` through the later roundings: together ``tail``.
+
+        Write ``mu = E + delta`` with ``|delta| <= D`` (the mean bound) and
+        ``W = sum w_i`` exactly.  Since ``sum w_i (x_i - E) = E (1 - W)``,
+        ``S - V = delta^2 W - 2 delta E (1 - W)`` for ``V = exact_variance(d)``,
+        so ``|S - V| <= M = D^2 W + 2 D |E| |1 - W|``, and in total
+        ``|d.variance - V| <= GAMMA_5 (V + M) + M + tail``.
+
+        ``d.variance`` is ``inf`` only after an overflow in some ``dev_i``
+        (then ``w_i (x_i - mu)^2 > 1e-301 FLOAT_MAX^2``, the masses being at
+        least ``1e-300 / 8``), in a product or in the sum; each puts ``S``
+        above ``FLOAT_MAX / 2``."""
+        _, bound = mean_error_bound(d)
+        try:
+            mu = d.mean
+        except DomainError:
+            with pytest.raises(DomainError):
+                d.variance
+            return
+        atoms = list(zip(d.xs.tolist(), d.ws.tolist()))
+        if math.isinf(d.variance):
+            shifted = sum(Fraction(w) * (Fraction(x) - Fraction(mu)) ** 2 for x, w in atoms)
+            assert shifted > FLOAT_MAX / 2
+            return
+        exact, mean = exact_variance(d), exact_mean(d)
+        mass = sum(Fraction(w) for _, w in atoms)
+        shift = bound**2 * mass + 2 * bound * abs(mean) * abs(1 - mass)
+        dev = d.xs - mu
+        products = d.ws * dev
+        low_product = np.abs(products) <= 2.0**-1022
+        low_term = np.abs(products * dev) <= 2.0**-1022
+        tail = (1 + U) ** 2 * TINY / 2 * (
+            sum(Fraction(x) for x in np.abs(dev[low_product]).tolist())
+            + int(low_term.sum())
+        )
+        error = abs(Fraction(d.variance) - exact)
+        assert error <= GAMMA_5 * (exact + shift) + shift + tail
+
+    @pytest.mark.parametrize("moment", ["mean", "variance"])
+    @pytest.mark.parametrize("name", corpus.names())
+    def test_computed_once(self, name, moment, monkeypatch):
+        """``verify_neighborhood``, then ``core_stats`` again on the same
+        ``p``, computes each distinct distribution's moment at most once."""
+        prop = AtomicDistribution.__dict__[moment]
+        seen = []
+
+        def counting(d, compute=prop.func):
+            seen.append(d)  # keeps d alive, so ids stay distinct
+            return compute(d)
+
+        monkeypatch.setattr(prop, "func", counting)
+        member = corpus.build(name)
+        p = AtomicDistribution(member.xs, member.ws)  # nothing cached yet
+        verify_neighborhood(p, 1000, 0.05)
+        core_stats(p, 1000, 0.05)
+        assert any(d is p for d in seen)
+        assert len({id(d) for d in seen}) == len(seen)
 
 
 class TestTrim:
@@ -116,7 +234,7 @@ class TestTrim:
     @settings(max_examples=200)
     def test_kept_mass_and_support(self, d, t):
         res = trim(d, t)
-        mu = mean(d)
+        mu = d.mean
         # every kept atom lies within the radius
         assert np.all(np.abs(res.trimmed.xs - mu) <= res.radius)
         kept = math.fsum((d.ws * res.kept_fractions).tolist())
@@ -133,8 +251,8 @@ class TestStandardTrim:
         assert res.trimmed_mass == pytest.approx(
             0.45 * math.log(20.0) / 1000, rel=1e-15
         )
-        assert mean(res.trimmed) == 0.0
-        assert std(res.trimmed) == 1.0
+        assert res.trimmed.mean == 0.0
+        assert math.sqrt(res.trimmed.variance) == 1.0
 
     def test_point_mass(self):
         d = AtomicDistribution([2.0], [1.0])
@@ -153,7 +271,7 @@ class TestStandardTrim:
     @settings(max_examples=150)
     def test_symmetry_preserved(self, d):
         res = standard_trim(d, 1000, 0.05)
-        assert abs(mean(d) - mean(res.trimmed)) <= 1e-12
+        assert abs(d.mean - res.trimmed.mean) <= 1e-12
         xs, ws = res.trimmed.xs, res.trimmed.ws
         assert np.array_equal(xs, -xs[::-1])
         assert np.array_equal(ws, ws[::-1])

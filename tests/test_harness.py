@@ -19,7 +19,6 @@ from advmean import (
     construct_q,
     hellinger_sq,
     lr_test_error,
-    mean,
     sample,
     trial_stream,
     trim,
@@ -513,7 +512,7 @@ class TestAsymptoticScan:
         # once the far atom is only partially trimmed (t < 0.001, so n above
         # ~1348 here) the normalized error decreases toward the
         # finite-variance limit sqrt(4.5) * sigma_p
-        limit = math.sqrt(4.5) * math.sqrt(advmean.variance(asym_two_point))
+        limit = math.sqrt(4.5) * math.sqrt(asym_two_point.variance)
         tail = [row["normalized"] for row in rows[1:]]
         assert tail[0] > tail[1] > tail[2] > limit
         assert tail[2] == pytest.approx(limit, rel=0.02)
@@ -532,15 +531,15 @@ class TestCorpus:
     def test_membership(self):
         members = corpus.all_members()
         assert len(members) == 6
-        assert mean(members["two_point_symmetric"]) == 0.0
+        assert members["two_point_symmetric"].mean == 0.0
         assert members["gaussian_grid"].num_atoms == 201
         assert members["pareto_15"].num_atoms == 200
         assert members["pareto_25"].num_atoms == 200
         assert members["contaminated_gaussian"].num_atoms == 50
 
     def test_pareto_means_closed_form(self):
-        assert mean(corpus.build("pareto_15")) == pytest.approx(3.0, rel=1e-12)
-        assert mean(corpus.build("pareto_25")) == pytest.approx(5 / 3, rel=1e-12)
+        assert corpus.build("pareto_15").mean == pytest.approx(3.0, rel=1e-12)
+        assert corpus.build("pareto_25").mean == pytest.approx(5 / 3, rel=1e-12)
 
     def test_contaminated_gaussian_mass_split(self):
         d = corpus.build("contaminated_gaussian")

@@ -19,16 +19,13 @@ PUBLIC_NAMES = {
     "hellinger_sq",
     "load_distribution",
     "lr_test_error",
-    "mean",
     "median_of_means",
     "mixture",
     "sample",
     "sample_mean",
     "standard_trim",
-    "std",
     "trial_stream",
     "trim",
-    "variance",
     "verify_neighborhood",
     "verify_theorem",
 }
