@@ -28,7 +28,8 @@ keys are ``case`` (``"large_mean_shift"`` or ``"small_mean_shift"``),
 ``lambda``, ``a``, ``sign`` (``"plus"`` or ``"minus"``), ``b``,
 ``saturated``, ``regime`` and ``diagnostics``.
 
-:func:`density_ratio` measures a built pair's sup ``dq/dp`` as one float.
+``_partner_stats`` is the one check that ``p`` admits a partner, shared with
+the pair verifier; :func:`density_ratio` measures a pair's sup ``dq/dp``.
 """
 
 from __future__ import annotations
@@ -154,11 +155,12 @@ def pair_diagnostics(
     }
 
 
-def _require_partner(p: AtomicDistribution, stats: CoreStats) -> None:
-    """Raise :class:`DegenerateError` when ``p`` admits no partner at the
-    budget behind ``stats``: a single atom, or a trimmed core at the mean
-    whose variance is zero, because it is a point mass or because its float64
-    variance underflows.  Either way the error bound is zero."""
+def _partner_stats(p: AtomicDistribution, n: float, delta: float) -> CoreStats:
+    """``p``'s :func:`core_stats` at ``(n, delta)``, or :class:`DegenerateError`
+    when ``p`` admits no partner there: a single atom, or a trimmed core at
+    the mean whose variance is zero, because it is a point mass or because its
+    float64 variance underflows.  Either way the error bound is zero."""
+    stats = core_stats(p, n, delta)
     if p.num_atoms == 1:
         raise DegenerateError("a point mass has no distinct indistinguishable partner")
     if stats.gap <= stats.threshold and stats.sigma_star <= 0.0:
@@ -168,14 +170,14 @@ def _require_partner(p: AtomicDistribution, stats: CoreStats) -> None:
                 f"{stats.core.num_atoms} atoms; rescale the positions"
             )
         raise DegenerateError("trimmed core is a point mass at the mean; no skew target")
+    return stats
 
 
 def construct_q(p: AtomicDistribution, n: float, delta: float) -> AdversaryResult:
     """Build the adversarial partner of ``p`` for the budget ``(n, delta)``;
     a ``p`` that admits none raises :class:`DegenerateError`."""
     flags = regime_flags(n, delta)
-    stats = core_stats(p, n, delta)
-    _require_partner(p, stats)
+    stats = _partner_stats(p, n, delta)
 
     lam = a = sign = b = None
     saturated = False

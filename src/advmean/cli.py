@@ -79,11 +79,12 @@ def _load(path: str):
         raise DomainError(f"{path}: {exc}") from exc
 
 
-def _regime(args) -> None:
-    """The one place the asserted regime is enforced: outside it, refuse
-    unless ``--override-regime`` is given, and then only warn."""
+def _regime(args) -> bool:
+    """The one place the asserted regime is decided: whether conditions are
+    enforced.  Outside the regime, refuse unless ``--override-regime`` is
+    given, and then only warn."""
     if all(regime_flags(args.n, args.delta).values()):
-        return
+        return True
     if not args.override_regime:
         raise RegimeError(
             f"(n={args.n!r}, delta={args.delta!r}) is outside the asserted regime "
@@ -94,6 +95,7 @@ def _regime(args) -> None:
         "but not enforced",
         file=sys.stderr,
     )
+    return False
 
 
 def _trial_config(args) -> TrialConfig:
@@ -119,7 +121,7 @@ def _cmd_verify(args) -> int:
     """``verify`` and ``neighborhood``: report the subcommand's ``verifier``,
     or the explicit pair under ``verify --pair``."""
     p = _load(args.infile)
-    _regime(args)
+    enforced = _regime(args)
     if getattr(args, "pair", None):
         report = verify_pair(p, _load(args.pair), args.n, args.delta)
         report["meta"]["pair_file"] = str(args.pair)
@@ -129,9 +131,7 @@ def _cmd_verify(args) -> int:
     if report["degenerate"]:
         print(f"refused: degenerate input ({report['meta']['reason']})", file=sys.stderr)
         return EXIT_REFUSED
-    if not all(report["regime"].values()):  # only reached under --override-regime
-        return EXIT_PASS
-    return EXIT_PASS if report["pass"] else EXIT_FAIL
+    return EXIT_PASS if report["pass"] or not enforced else EXIT_FAIL
 
 
 def _cmd_trials(args) -> int:

@@ -341,15 +341,23 @@ def mixture(
 # ---------------------------------------------------------------------------
 
 
-def _unconvertible(entries) -> tuple[str, object]:
-    """The first atom field, as ``(key, value)``, that ``float`` rejects, in
-    the order :func:`distribution_from_dict` converts them."""
+def _malformed(payload) -> str | None:
+    """What is wrong with a payload that converted to no atoms or failed to,
+    found in the order :func:`distribution_from_dict` converts it: ``atoms``,
+    every ``x``, then every ``w``; ``None`` for a well-formed payload."""
+    entries = payload.get("atoms") if isinstance(payload, dict) else None
+    if not isinstance(entries, list):
+        return f'expected an object with an "atoms" list, got {reprlib.repr(payload)}'
     for key in ("x", "w"):
-        for entry in entries:
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict) or key not in entry:
+                return (f"atom {i}: expected an object with {key!r}, "
+                        f"got {reprlib.repr(entry)}")
             try:
                 float(entry[key])
-            except (ValueError, OverflowError):
-                return key, entry[key]
+            except (TypeError, ValueError, OverflowError):
+                value = reprlib.repr(entry[key])
+                return f"atom {i} field {key!r} has no float64 value: {value}"
 
 
 def distribution_from_dict(payload: dict) -> AtomicDistribution:
@@ -357,16 +365,11 @@ def distribution_from_dict(payload: dict) -> AtomicDistribution:
         entries = payload["atoms"]
         xs = [float(entry["x"]) for entry in entries]
         ws = [float(entry["w"]) for entry in entries]
-    except (KeyError, TypeError) as exc:
-        raise DomainError(f"malformed distribution payload: {exc}") from exc
-    except (ValueError, OverflowError):
-        # searched for only after a failure, so the conversion loop stays lean
-        key, value = _unconvertible(entries)
-        raise DomainError(
-            f"atom field {key!r} has no float64 value: {reprlib.repr(value)}"
-        ) from None
+    except (KeyError, TypeError, ValueError, OverflowError):
+        # diagnosed only after a failure, so the conversion loop stays lean
+        raise DomainError(_malformed(payload)) from None
     if not xs:
-        raise DomainError("distribution file holds no atoms")
+        raise DomainError(_malformed(payload) or "distribution file holds no atoms")
     xs_arr, ws_arr, total = _prepare_atoms(xs, ws)
     if abs(total - 1.0) > LOAD_MASS_TOL:
         raise DomainError(

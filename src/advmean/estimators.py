@@ -3,16 +3,15 @@
 Samples are any 1-d sequence of floats (a list or an ``np.ndarray``); they
 are read as float64 and never modified.
 
-The group count is ``ceil(4.5 * log(1/delta))`` (never below 1).  Samples are
-split in input order into contiguous groups of near-equal size, the first
-``n mod k`` groups taking one extra sample, and the median of the group means
-is returned, with an even group count yielding the midpoint of the two
-central means.
-
-Group sums use ``math.fsum`` (one correctly-rounded sum), so the output is
-deterministic, independent of evaluation order, and unchanged by permuting
-samples within a group.  Permutations across group boundaries can change the
-result.
+Both estimators follow one group rule.  Samples are split in input order
+into contiguous groups of near-equal size, the first ``n mod k`` of the ``k``
+groups taking one extra sample, and each group mean is its correctly-rounded
+sum (``fsum``) over its size.  The median of means takes
+``k = ceil(4.5 * log(1/delta))`` groups (never below 1) and returns the middle
+mean, or the midpoint of the two central means for even ``k``; the sample
+mean is the one-group case.  Output is deterministic and unchanged by
+permuting samples within a group; permutations across group boundaries can
+change it.
 """
 
 from __future__ import annotations
@@ -32,20 +31,15 @@ def group_count(delta: float) -> int:
     return max(1, math.ceil(GROUP_COUNT_COEFF * math.log(1.0 / delta)))
 
 
-def _values(samples) -> np.ndarray:
+def _group_means(samples, delta: float | None) -> list[float]:
+    """The group means of ``samples`` under the group rule, in group order:
+    ``group_count(delta)`` groups, or one when ``delta`` is ``None``.  Checks
+    the samples, then ``delta``, then that no group is empty."""
     values = np.asarray(samples, dtype=np.float64)
     if values.ndim != 1 or values.size < 1:
         raise DomainError("a sample batch must be 1-d with at least one value")
-    return values
-
-
-def median_of_means(samples, delta: float) -> float:
-    """Median of the group means; raises
-    :class:`~advmean.errors.InsufficientSamplesError` when there are fewer
-    samples than groups."""
-    values = _values(samples)
     n = values.size
-    k = group_count(delta)
+    k = 1 if delta is None else group_count(delta)
     if n < k:
         raise InsufficientSamplesError(k, n)
     base, extra = divmod(n, k)
@@ -56,17 +50,23 @@ def median_of_means(samples, delta: float) -> float:
         size = base + (1 if g < extra else 0)
         means.append(math.fsum(data[start : start + size]) / size)
         start += size
+    return means
+
+
+def median_of_means(samples, delta: float) -> float:
+    """Median of the group means; raises
+    :class:`~advmean.errors.InsufficientSamplesError` when there are fewer
+    samples than groups."""
+    means = _group_means(samples, delta)
     if any(map(math.isnan, means)):
         return math.nan
     # The middle mean, or the midpoint (a + b) / 2 of the two central ones:
     # bitwise what np.median computes.
     means.sort()
-    mid = k // 2
-    return means[mid] if k % 2 else (means[mid - 1] + means[mid]) / 2
+    mid = len(means) // 2
+    return means[mid] if len(means) % 2 else (means[mid - 1] + means[mid]) / 2
 
 
 def sample_mean(samples) -> float:
-    """Arithmetic mean, summed like a single estimator group so the two
-    estimators agree exactly when the group count is 1."""
-    values = _values(samples)
-    return math.fsum(values.tolist()) / values.size
+    """Arithmetic mean: the mean of the group rule's single group."""
+    return _group_means(samples, None)[0]

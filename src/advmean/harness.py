@@ -40,7 +40,7 @@ from functools import partial
 
 import numpy as np
 
-from .adversary import _require_partner, construct_q, pair_diagnostics, regime_flags
+from .adversary import _partner_stats, construct_q, pair_diagnostics, regime_flags
 from .distribution import (
     AtomicDistribution,
     align,
@@ -165,9 +165,8 @@ def verify_pair(
     """The separation/indistinguishability report for an explicit pair; a
     ``p`` that :func:`construct_q` would refuse gets the degenerate report."""
     flags = regime_flags(n, delta)
-    stats = core_stats(p, n, delta)
     try:
-        _require_partner(p, stats)
+        stats = _partner_stats(p, n, delta)
     except DegenerateError as exc:
         meta = {"mode": "pair", "reason": str(exc)}
         return _report("indistinguishable_pair", flags, (), meta)
@@ -176,16 +175,16 @@ def verify_pair(
 
 
 def _verify_partner(claim: str, p: AtomicDistribution, n: int, delta: float, rows):
-    """Construct the partner of ``p`` and report ``rows(res, meta)``, where
-    ``meta`` is the report's copy of the construction record; a ``p`` with
-    no partner gets the degenerate report."""
-    flags = regime_flags(n, delta)
+    """Construct the partner of ``p`` and report ``rows(res, meta)`` under the
+    regime flags the construction recorded, where ``meta`` is the report's
+    copy of the construction record; a ``p`` with no partner gets the
+    degenerate report."""
     try:
         res = construct_q(p, n, delta)
     except DegenerateError as exc:
-        return _report(claim, flags, (), {"reason": str(exc)})
+        return _report(claim, regime_flags(n, delta), (), {"reason": str(exc)})
     meta = res.meta_dict()
-    return _report(claim, flags, rows(res, meta), meta)
+    return _report(claim, meta["regime"], rows(res, meta), meta)
 
 
 def verify_theorem(p: AtomicDistribution, n: int, delta: float) -> dict:
@@ -266,23 +265,6 @@ def bench_mom(p: AtomicDistribution, cfg: TrialConfig) -> dict:
     }
 
 
-def _log_ratio_tables(
-    p: AtomicDistribution, q: AtomicDistribution
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-atom log-likelihood ratios log(q/p), aligned with each source's
-    atoms.  Missing mass yields -inf (drawn only under p) or +inf (only
-    under q)."""
-    _, wp, wq = align(p, q)
-    # math.log, not np.log: they differ in the last bit on some inputs.
-    table = np.array(
-        [
-            -math.inf if mq == 0.0 else math.inf if mp == 0.0 else math.log(mq / mp)
-            for mp, mq in zip(wp.tolist(), wq.tolist())
-        ]
-    )
-    return table[wp > 0.0], table[wq > 0.0]
-
-
 _LIMB_BITS = 30
 _CHUNK = 1 << 16  # uniforms per draw; a limb sum stays below 2^46
 
@@ -356,7 +338,15 @@ def lr_test_error(
     """
     if cfg.trials % 2 != 0:
         raise DomainError("trial count must be even (half per source)")
-    limbs_p, limbs_q = map(_limbs, _log_ratio_tables(p, q))
+    # One limb table of log(q/p) on the union of the supports, split by source:
+    # missing mass is -inf (drawn only under p) or +inf (only under q).
+    # math.log, not np.log: they differ in the last bit on some inputs.
+    _, wp, wq = align(p, q)
+    limbs = _limbs(np.array([
+        -math.inf if mq == 0.0 else math.inf if mp == 0.0 else math.log(mq / mp)
+        for mp, mq in zip(wp.tolist(), wq.tolist())
+    ]))
+    limbs_p, limbs_q = limbs[wp > 0.0], limbs[wq > 0.0]
     half = cfg.trials // 2
     type_i = _trial_rate(cfg, range(half), partial(_lr_errs, p, limbs_p, cfg.n, False))
     type_ii = _trial_rate(

@@ -113,3 +113,24 @@ def two_point():
 @pytest.fixture
 def asym_two_point():
     return AtomicDistribution([0.0, 1000.0], [0.999, 0.001])
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(modules, name)`` records the arguments of every call of
+    the function ``name``, as each of ``modules`` binds it, and returns the
+    list of them."""
+
+    def install(modules, name) -> list:
+        calls = []
+        real = getattr(modules[0], name)
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, counting)
+        return calls
+
+    return install

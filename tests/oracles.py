@@ -10,6 +10,7 @@ from advmean import (
     AtomicDistribution,
     DomainError,
     TrimResult,
+    group_count,
     sample,
     trial_stream,
 )
@@ -153,6 +154,52 @@ def exact_lr_error(p: AtomicDistribution, q: AtomicDistribution, n: int) -> Frac
         return total
 
     return Fraction(wrong(p, 1) + wrong(q, -1), 4 * grid**n)
+
+
+def mom_miss_bracket(
+    p: AtomicDistribution, n: int, delta: float, limit: float
+) -> tuple[Fraction, Fraction]:
+    """Exact bounds ``(lower, upper)`` on the probability that the median of
+    means of ``n`` draws from a two-atom ``p`` misses ``p.mean`` by more than
+    ``limit``, as ``bench_mom`` tests a miss.
+
+    The ``k = group_count(delta)`` groups are split by the documented rule:
+    the first ``n mod k`` hold ``n // k + 1`` draws, the rest ``n // k``.  A
+    group of ``s`` draws holding the first atom ``j`` times has the mean
+    ``fsum`` of its values over ``s``, as the estimator computes it, and
+    misses high or low as that mean does.  Groups are independent, and each
+    draw takes the first atom with the sampler's probability, the share of
+    ``random()``'s 2^-53 grid below ``cum[0]``.  The median lies between the
+    sorted means ``m[(k - 1) // 2]`` and ``m[k // 2]`` (one mean for odd
+    ``k``), so it misses high only if at least ``(k + 1) // 2`` groups do,
+    and it does if at least ``k // 2 + 1`` do; likewise low.  For odd ``k``
+    the two ends are equal."""
+    if p.num_atoms != 2:
+        raise DomainError("oracle takes a distribution on two atoms")
+    (x0, x1), mu = p.xs.tolist(), p.mean
+    k = group_count(delta)
+    base, extra = divmod(n, k)
+    sizes = [base + 1] * extra + [base] * (k - extra)
+    grid = 1 << 53
+    a = math.ceil(Fraction(p.ws[0]) * grid)
+    b = grid - a
+
+    def side_law(sign):  # grid^n P(exactly m groups miss on `sign`'s side)
+        law = [1]
+        for s in sizes:
+            hit, term = 0, b**s  # term = comb(s, j) a^j b^(s - j)
+            for j in range(s + 1):
+                dev = math.fsum([x0] * j + [x1] * (s - j)) / s - mu
+                hit += term * (sign * dev > limit)
+                if j < s:
+                    term = term * (s - j) * a // ((j + 1) * b)
+            law = [u * (grid**s - hit) + v * hit for u, v in zip(law + [0], [0] + law)]
+        return law
+
+    laws = [side_law(1), side_law(-1)]
+    lower = Fraction(sum(sum(law[k // 2 + 1 :]) for law in laws), grid**n)
+    upper = Fraction(sum(sum(law[(k + 1) // 2 :]) for law in laws), grid**n)
+    return lower, upper
 
 
 def lr_wrong_reversed(p, q, cfg):

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from advmean import AtomicDistribution, construct_q, load_distribution
+from advmean import adversary, cli, harness
 from advmean.cli import main
 from advmean.distribution import distribution_json
 
@@ -433,6 +434,37 @@ def test_unconvertible_atom_exit_two(atoms, named, tmp_path, capsys):
     assert run("verify", "--in", str(path), "--n", "1000", "--delta", "0.05") == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and named in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [('{"atoms": {"x": 1}}',
+      """expected an object with an "atoms" list, got {'atoms': {'x': 1}}"""),
+     ('{"atoms": [{"x": 0, "w": 1}, 3]}', "atom 1: expected an object with 'x', got 3"),
+     ('{"atoms": [{"x": 0}]}', "atom 0: expected an object with 'w', got {'x': 0}"),
+     ('{"atoms": [{"x": null, "w": 1}]}', "atom 0 field 'x' has no float64 value: None"),
+     ("[1, 2]", 'expected an object with an "atoms" list, got [1, 2]'),
+     ('{"atom": []}', """expected an object with an "atoms" list, got {'atom': []}"""),
+     ('{"atoms": 5}', """expected an object with an "atoms" list, got {'atoms': 5}"""),
+     ('{"atoms": ""}', """expected an object with an "atoms" list, got {'atoms': ''}"""),
+     ('{"atoms": []}', "distribution file holds no atoms")],
+    ids=["atoms-object", "atom-not-object", "missing-w", "null-x", "top-level-list",
+         "missing-atoms", "atoms-number", "empty-atoms-string", "no-atoms"],
+)
+def test_malformed_payload_exit_two(text, message, tmp_path, capsys):
+    # The loader names what is wrong, in the order it converts the payload.
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert run("verify", "--in", str(path), "--n", "1000", "--delta", "0.05") == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def test_regime_decided_once_by_the_cli(two_point_file, count_calls):
+    # One decision in the CLI and one record in the construction; the report
+    # reuses the record.
+    calls = count_calls([adversary, harness, cli], "regime_flags")
+    assert run("verify", "--in", two_point_file, "--n", "1000", "--delta", "0.05") == 0
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ from fractions import Fraction
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from advmean import (
     AtomicDistribution,
@@ -17,8 +17,10 @@ from advmean import (
     asymptotic_scan,
     bench_mom,
     construct_q,
+    group_count,
     hellinger_sq,
     lr_test_error,
+    median_of_means,
     sample,
     trial_stream,
     trim,
@@ -26,9 +28,9 @@ from advmean import (
     verify_theorem,
 )
 from advmean import corpus
-from advmean import distribution, harness
+from advmean import adversary, distribution, harness
 
-from oracles import brute_force_trim, exact_lr_error, lr_wrong_reversed
+from oracles import brute_force_trim, exact_lr_error, lr_wrong_reversed, mom_miss_bracket
 
 
 def random_small_instance(rng):
@@ -263,16 +265,9 @@ class TestVerifyNeighborhood:
 
 
 @pytest.mark.parametrize("name", ["two_point_symmetric", "two_point_asymmetric"])
-def test_each_core_is_trimmed_once(name, monkeypatch):
+def test_each_core_is_trimmed_once(name, count_calls):
     d = corpus.build(name)
-    calls = []
-    real_trim = distribution.trim
-
-    def counting_trim(*args):
-        calls.append(args)
-        return real_trim(*args)
-
-    monkeypatch.setattr(distribution, "trim", counting_trim)
+    calls = count_calls([distribution], "trim")
     counts = []
     for fn in (construct_q, verify_theorem, verify_neighborhood):
         calls.clear()
@@ -283,18 +278,27 @@ def test_each_core_is_trimmed_once(name, monkeypatch):
     assert counts == [1, 1, 4]
 
 
+@pytest.mark.parametrize("verifier", [verify_theorem, verify_neighborhood])
+def test_regime_flags_once_per_report(verifier, two_point, count_calls):
+    # The report carries the flags the construction recorded.
+    calls = count_calls([adversary, harness], "regime_flags")
+    rep = verifier(two_point, 1000, 0.05)
+    assert len(calls) == 1
+    assert rep["regime"] == {"delta_ok": True, "ratio_ok": True}
+
+
+def test_one_limb_table_per_lr_test(two_point, count_calls):
+    calls = count_calls([harness], "_limbs")
+    q = construct_q(two_point, 1000, 0.05).q
+    lr_test_error(two_point, q, TrialConfig(n=100, delta=0.05, trials=4, seed=0))
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("bench", ["bench_mom", "lr_test_error"])
-def test_one_stream_per_trial(bench, two_point, monkeypatch):
+def test_one_stream_per_trial(bench, two_point, count_calls):
     # The randomness contract: trial t draws only from the stream of
     # (cfg.seed, t), made once per trial.
-    calls = []
-    real_stream = harness.trial_stream
-
-    def recording_stream(seed, trial):
-        calls.append((seed, trial))
-        return real_stream(seed, trial)
-
-    monkeypatch.setattr(harness, "trial_stream", recording_stream)
+    calls = count_calls([harness], "trial_stream")
     cfg = TrialConfig(n=140, delta=0.05, trials=6, seed=7)
     if bench == "bench_mom":
         bench_mom(two_point, cfg)
@@ -431,6 +435,57 @@ class TestExactLrError:
         assert exact_lr_error(two_point, two_point, 7) == Fraction(1, 2)
 
 
+class TestExactMomMiss:
+    """On two atoms each group mean depends only on a binomial count, so the
+    median of means misses with a probability bracketed exactly."""
+
+    @pytest.mark.parametrize(
+        "name, bracket",
+        [("two_point_symmetric", (5.448555245213503e-19, 3.5354664016897337e-16)),
+         ("two_point_asymmetric", (1.1946187468633985e-05, 1.3275494984107023e-04))],
+    )
+    def test_criterion_4_config(self, name, bracket):
+        p = corpus.build(name)
+        rep = bench_mom(p, TrialConfig(n=1400, delta=0.05, trials=2000, seed=0))
+        limit = rep["bound"] + harness.MOM_ROUNDING_TOL * float(np.abs(p.xs).max())
+        lower, upper = mom_miss_bracket(p, 1400, 0.05, limit)
+        assert (float(lower), float(upper)) == pytest.approx(bracket, rel=1e-12)
+        assert upper <= 0.05
+        halfwidth = rep["ci_halfwidth"]
+        assert lower - halfwidth <= rep["failure_rate"] <= upper + halfwidth
+
+    @pytest.mark.parametrize("n, delta", [(14, 0.5), (13, 0.6)], ids=["even-k", "odd-k"])
+    def test_brackets_every_draw_sequence(self, n, delta):
+        # Weigh every sequence of n draws exactly and run the estimator on it;
+        # 4 groups at delta=0.5 and 3 at delta=0.6.
+        p = AtomicDistribution([0.0, 1.0], [0.6, 0.4])
+        limit = 0.2
+        grid = 1 << 53
+        a = math.ceil(Fraction(p.ws[0]) * grid)
+        missed = 0
+        for seq in itertools.product([0.0, 1.0], repeat=n):
+            if abs(median_of_means(list(seq), delta) - p.mean) > limit:
+                j = seq.count(0.0)
+                missed += a**j * (grid - a) ** (n - j)
+        exact = Fraction(missed, grid**n)
+        lower, upper = mom_miss_bracket(p, n, delta, limit)
+        assert 0 < lower <= exact <= upper < 1
+        assert lower < upper if group_count(delta) % 2 == 0 else lower == upper
+
+    def test_sampled_rate_matches_odd_k(self):
+        # With 3 groups the bracket is the exact miss probability of a trial.
+        p = AtomicDistribution([0.0, 1.0], [0.6, 0.4])
+        n, delta, limit, trials = 40, 0.6, 0.15, 2000
+        rate = sum(
+            abs(median_of_means(sample(p, n, trial_stream(0, t)), delta) - p.mean) > limit
+            for t in range(trials)
+        ) / trials
+        lower, upper = mom_miss_bracket(p, n, delta, limit)
+        assert lower == upper
+        exact = float(upper)
+        assert abs(rate - exact) <= 3.0 * math.sqrt(exact * (1.0 - exact) / trials)
+
+
 def _decision(lam):
     """What a trial does with its statistic: ``(tie, decide_q)``."""
     return lam == 0, lam > 0
@@ -481,6 +536,17 @@ class TestCountedLrStatistic:
             assert _decision(self._counted(table, idx)) == _decision(
                 math.fsum(np.array(table)[idx].tolist())
             )
+
+    @given(st.lists(log_terms, min_size=1, max_size=12), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_finite_rows_ignore_infinite_ones(self, table, data):
+        # lr_test_error splits one union table by source.  Each source keeps
+        # every finite row and some infinite ones, and its rows are those of
+        # its own table: infinities set neither the grid nor the width.
+        keep = [math.isfinite(t) or data.draw(st.booleans()) for t in table]
+        assume(any(keep))
+        own = harness._limbs(np.array([t for t, k in zip(table, keep) if k]))
+        assert np.array_equal(harness._limbs(np.array(table))[np.array(keep)], own)
 
     def test_chunked_draws_match_one_draw(self):
         # Past one chunk, the statistic decides as fsum over one draw of n

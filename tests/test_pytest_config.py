@@ -1,12 +1,16 @@
-"""The repository's pytest settings must let a failing Hypothesis test report
-its falsifying example instead of aborting the session."""
+"""The repository's tooling settings: pytest must let a failing Hypothesis
+test report its falsifying example instead of aborting the session, and the
+declared Python floor must be the version CI tests."""
 
+import re
 import subprocess
 import sys
 import tomllib
 from pathlib import Path
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 FAILING_PROPERTY = '''
 from hypothesis import given, settings, strategies as st
@@ -41,3 +45,9 @@ def test_failing_given_reports_its_example(tmp_path):
     assert "Falsifying example" in out
     assert "PASSED test_property.py::test_runs_after" in out
     assert "1 failed, 1 passed" in out
+
+
+def test_python_floor_is_the_tested_version():
+    floor = tomllib.loads(PYPROJECT.read_text())["project"]["requires-python"]
+    tested = re.findall(r'python-version:\s*"([^"]+)"', WORKFLOW.read_text())
+    assert tested == [floor.removeprefix(">=")]
