@@ -17,11 +17,7 @@ from .distribution import (
     trim,
 )
 from .divergence import hellinger_sq
-from .errors import (
-    DegenerateError,
-    DomainError,
-    InsufficientSamplesError,
-)
+from .errors import DegenerateError, DomainError
 from .estimators import group_count, median_of_means, sample_mean
 from .harness import (
     TrialConfig,

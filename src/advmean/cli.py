@@ -59,13 +59,20 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _csv_text(rows: list[dict], columns: list[str]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
+def _emit_table(args, rows: list[dict], columns: list[str], document) -> None:
+    """Label ``rows`` with the stem of ``--in`` and write them per ``--format``:
+    as CSV ``columns``, or as ``document``, the JSON value that holds them."""
+    label = Path(args.infile).stem
     for row in rows:
-        writer.writerow([row[c] for c in columns])
-    return buf.getvalue()
+        row["distribution"] = label
+    if args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([row[c] for c in columns] for row in rows)
+        _emit(buf.getvalue(), args.out)
+    else:
+        _emit(_json_bytes(document), args.out)
 
 
 def _load(path: str):
@@ -122,7 +129,7 @@ def _cmd_verify(args) -> int:
     or the explicit pair under ``verify --pair``."""
     p = _load(args.infile)
     enforced = _regime(args)
-    if getattr(args, "pair", None):
+    if args.pair:
         report = verify_pair(p, _load(args.pair), args.n, args.delta)
         report["meta"]["pair_file"] = str(args.pair)
     else:
@@ -137,16 +144,11 @@ def _cmd_verify(args) -> int:
 def _cmd_trials(args) -> int:
     """``bench-mom`` and ``distinguish``: run the subcommand's ``bench`` on
     ``--in`` (and ``--pair``); ``columns`` are its rate columns in CSV."""
-    dists = [_load(args.infile)]
-    if getattr(args, "pair", None):
-        dists.append(_load(args.pair))
+    dists = [_load(path) for path in (args.infile, args.pair) if path]
     report = args.bench(*dists, _trial_config(args))
-    report["distribution"] = Path(args.infile).stem
-    if args.format == "csv":
-        header = ["distribution", "n", "delta", "trials", "seed", *args.columns]
-        _emit(_csv_text([report], header + ["ci_halfwidth", "pass"]), args.out)
-    else:
-        _emit(_json_bytes(report), args.out)
+    columns = ["distribution", "n", "delta", "trials", "seed", *args.columns,
+               "ci_halfwidth", "pass"]
+    _emit_table(args, [report], columns, report)
     return EXIT_PASS if report["pass"] else EXIT_FAIL
 
 
@@ -159,16 +161,7 @@ def _cmd_scan(args) -> int:
     if not n_list:
         raise DomainError("--n-list is empty")
     rows = asymptotic_scan(p, args.delta, n_list)
-    label = Path(args.infile).stem
-    for row in rows:
-        row["distribution"] = label
-    if args.format == "json":
-        _emit(_json_bytes(rows), args.out)
-    else:
-        _emit(
-            _csv_text(rows, ["distribution", "n", "delta", "epsilon", "normalized"]),
-            args.out,
-        )
+    _emit_table(args, rows, ["distribution", "n", "delta", "epsilon", "normalized"], rows)
     return EXIT_PASS
 
 
@@ -187,9 +180,10 @@ def build_parser() -> argparse.ArgumentParser:
             "guarantees, and benchmark the median-of-means estimator."
         ),
     )
+    parser.set_defaults(pair=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, trials=False, pair=None, fmt=None):
+    def add_common(sp, trials=False, pair=None):
         # pair: None offers no --pair, else whether it is required
         sp.add_argument("--in", dest="infile", required=True, help="distribution JSON")
         sp.add_argument("--n", type=int, required=True, help="sample budget")
@@ -200,14 +194,13 @@ def build_parser() -> argparse.ArgumentParser:
         if trials:
             sp.add_argument("--trials", type=int, default=20000)
             sp.add_argument("--seed", type=int, default=None)
+            sp.add_argument("--format", choices=["json", "csv"], default="json")
         else:  # the Monte-Carlo subcommands never consult the regime
             sp.add_argument(
                 "--override-regime",
                 action="store_true",
                 help="run outside the asserted regime with assertions downgraded",
             )
-        if fmt:
-            sp.add_argument("--format", choices=fmt, default=fmt[0])
 
     sp = sub.add_parser("construct", help="write the partner distribution")
     add_common(sp)
@@ -222,11 +215,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_verify, verifier=verify_neighborhood)
 
     sp = sub.add_parser("bench-mom", help="median-of-means failure-rate benchmark")
-    add_common(sp, trials=True, fmt=["json", "csv"])
+    add_common(sp, trials=True)
     sp.set_defaults(fn=_cmd_trials, bench=bench_mom, columns=["failure_rate", "bound"])
 
     sp = sub.add_parser("distinguish", help="likelihood-ratio test simulation")
-    add_common(sp, trials=True, pair=True, fmt=["json", "csv"])
+    add_common(sp, trials=True, pair=True)
     sp.set_defaults(fn=_cmd_trials, bench=lr_test_error, columns=["empirical_error"])
 
     sp = sub.add_parser("scan", help="tabulate the error bound across n")

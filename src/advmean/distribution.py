@@ -227,16 +227,21 @@ def trim(d: AtomicDistribution, t: float) -> TrimResult:
     return TrimResult(trimmed, radius, kept_fractions, float(t))
 
 
+def check_delta(delta: float) -> None:
+    """Reject a failure probability outside ``0 < delta < 1``."""
+    if not 0.0 < delta < 1.0:
+        raise DomainError(f"failure probability must lie in (0, 1), got {delta!r}")
+
+
 def check_budget(n: float, delta: float) -> None:
-    """Reject a sample budget outside ``0 < n <= float64 max``,
-    ``0 < delta < 1``; a larger integer ``n`` has no float64 value."""
+    """Reject a sample budget outside ``0 < n <= float64 max``, then a
+    ``delta`` outside ``(0, 1)``; a larger integer ``n`` has no float64 value."""
     if not 0 < n <= sys.float_info.max:
         raise DomainError(
             f"sample count must be positive and at most {sys.float_info.max!r}, "
             f"got {n!r}"
         )
-    if not 0.0 < delta < 1.0:
-        raise DomainError(f"failure probability must lie in (0, 1), got {delta!r}")
+    check_delta(delta)
 
 
 def standard_trim(d: AtomicDistribution, n: float, delta: float) -> TrimResult:
@@ -354,18 +359,27 @@ def _malformed(payload) -> str | None:
                 return (f"atom {i}: expected an object with {key!r}, "
                         f"got {reprlib.repr(entry)}")
             try:
-                float(entry[key])
-            except (TypeError, ValueError, OverflowError):
+                _numbers([entry[key]])
+            except (TypeError, OverflowError):
                 value = reprlib.repr(entry[key])
                 return f"atom {i} field {key!r} has no float64 value: {value}"
+
+
+def _numbers(values: list) -> list[float]:
+    """``values`` as floats when each is a JSON number (an ``int`` or a
+    ``float``, never a ``bool`` or a string); :class:`TypeError` otherwise."""
+    kinds = set(map(type, values))
+    if not kinds <= {int, float}:
+        raise TypeError("not a JSON number")
+    return values if kinds == {float} else list(map(float, values))
 
 
 def distribution_from_dict(payload: dict) -> AtomicDistribution:
     try:
         entries = payload["atoms"]
-        xs = [float(entry["x"]) for entry in entries]
-        ws = [float(entry["w"]) for entry in entries]
-    except (KeyError, TypeError, ValueError, OverflowError):
+        xs = _numbers([entry["x"] for entry in entries])
+        ws = _numbers([entry["w"] for entry in entries])
+    except (KeyError, TypeError, OverflowError):
         # diagnosed only after a failure, so the conversion loop stays lean
         raise DomainError(_malformed(payload)) from None
     if not xs:

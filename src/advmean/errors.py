@@ -2,7 +2,8 @@
 
 
 class DomainError(ValueError):
-    """An argument lies outside the operation's domain."""
+    """An argument lies outside the operation's domain, such as fewer samples
+    than estimator groups; the CLI reports it with exit code 2."""
 
 
 class DegenerateError(ValueError):
@@ -12,15 +13,3 @@ class DegenerateError(ValueError):
 
 class RegimeError(ValueError):
     """The (n, delta) pair is outside the asserted small-parameter regime."""
-
-
-class InsufficientSamplesError(DomainError):
-    """Fewer samples than estimator groups; a :class:`DomainError`, so the
-    CLI reports it with exit code 2."""
-
-    def __init__(self, group_count: int, n: int):
-        super().__init__(
-            f"need at least {group_count} samples for {group_count} groups, got {n}"
-        )
-        self.group_count = group_count
-        self.n = n

@@ -9,9 +9,10 @@ groups taking one extra sample, and each group mean is its correctly-rounded
 sum (``fsum``) over its size.  The median of means takes
 ``k = ceil(4.5 * log(1/delta))`` groups (never below 1) and returns the middle
 mean, or the midpoint of the two central means for even ``k``; the sample
-mean is the one-group case.  Output is deterministic and unchanged by
-permuting samples within a group; permutations across group boundaries can
-change it.
+mean is the one-group case.  Fewer samples than groups (``_groups``) or a
+group sum past float64 range is a :class:`~advmean.errors.DomainError`.
+Output is deterministic and unchanged by permuting samples within a group;
+permutations across group boundaries can change it.
 """
 
 from __future__ import annotations
@@ -20,43 +21,52 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, InsufficientSamplesError
+from .distribution import check_delta
+from .errors import DomainError
 
 GROUP_COUNT_COEFF = 4.5
 
 
 def group_count(delta: float) -> int:
-    if not 0.0 < delta < 1.0:
-        raise DomainError(f"failure probability must lie in (0, 1), got {delta!r}")
+    check_delta(delta)
     return max(1, math.ceil(GROUP_COUNT_COEFF * math.log(1.0 / delta)))
 
 
+def _groups(n: int, delta: float | None) -> int:
+    """``group_count(delta)`` groups for ``n`` samples, or one when ``delta`` is
+    ``None``; :class:`DomainError` when some group would be empty."""
+    k = 1 if delta is None else group_count(delta)
+    if n < k:
+        raise DomainError(f"need at least {k} samples for {k} groups, got {n}")
+    return k
+
+
 def _group_means(samples, delta: float | None) -> list[float]:
-    """The group means of ``samples`` under the group rule, in group order:
-    ``group_count(delta)`` groups, or one when ``delta`` is ``None``.  Checks
-    the samples, then ``delta``, then that no group is empty."""
+    """The group means of ``samples`` under the group rule, in group order.
+    Checks the samples, then ``delta``, then that no group is empty; a group
+    sum past float64 range is a :class:`DomainError`."""
     values = np.asarray(samples, dtype=np.float64)
     if values.ndim != 1 or values.size < 1:
         raise DomainError("a sample batch must be 1-d with at least one value")
     n = values.size
-    k = 1 if delta is None else group_count(delta)
-    if n < k:
-        raise InsufficientSamplesError(k, n)
+    k = _groups(n, delta)
     base, extra = divmod(n, k)
     data = values.tolist()
     means = []
     start = 0
-    for g in range(k):
-        size = base + (1 if g < extra else 0)
-        means.append(math.fsum(data[start : start + size]) / size)
-        start += size
+    try:
+        for g in range(k):
+            size = base + (1 if g < extra else 0)
+            means.append(math.fsum(data[start : start + size]) / size)
+            start += size
+    except OverflowError:
+        raise DomainError("a group sum overflows float64; rescale the samples") from None
     return means
 
 
 def median_of_means(samples, delta: float) -> float:
-    """Median of the group means; raises
-    :class:`~advmean.errors.InsufficientSamplesError` when there are fewer
-    samples than groups."""
+    """Median of the group means; :class:`~advmean.errors.DomainError` when
+    there are fewer samples than groups or a group sum overflows."""
     means = _group_means(samples, delta)
     if any(map(math.isnan, means)):
         return math.nan

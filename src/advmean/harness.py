@@ -48,8 +48,8 @@ from .distribution import (
     core_stats,
     epsilon,
 )
-from .errors import DegenerateError, DomainError, InsufficientSamplesError
-from .estimators import group_count, median_of_means
+from .errors import DegenerateError, DomainError
+from .estimators import _groups, median_of_means
 
 # Assertion slacks: the slack column of the verifiers' condition rows.
 MEAN_SHIFT_TOL = 1e-9
@@ -78,8 +78,6 @@ class TrialConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"n must be >= 1, got {self.n!r}")
         check_budget(self.n, self.delta)
         if not 1 <= self.trials <= sys.maxsize:
             raise DomainError(
@@ -242,9 +240,7 @@ def bench_mom(p: AtomicDistribution, cfg: TrialConfig) -> dict:
     ``|mu - mu*| + 3 sigma* sqrt(4.5 log(1/delta) / n)`` by more than its
     rounding (``MOM_ROUNDING_TOL``); passes when the failure rate stays
     within ``delta`` plus a 3-sigma binomial half-width."""
-    k = group_count(cfg.delta)
-    if cfg.n < k:
-        raise InsufficientSamplesError(k, cfg.n)
+    _groups(cfg.n, cfg.delta)  # name the group count before core_stats' refusals
     stats = core_stats(p, cfg.n, cfg.delta)
     mu_p = p.mean
     bound = stats.gap + 3.0 * stats.sigma_star * stats.rate

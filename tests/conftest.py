@@ -93,15 +93,24 @@ def adversarial_distributions(draw, max_atoms=8):
     return AtomicDistribution(xs, [m / total for m in masses])
 
 
-def wide_member(seed: int = 0, atoms: int = 10_001) -> dict:
-    """A jittered N(0, 1) grid on [-6, 6] holding 99.9% of the mass, plus an
-    outlier at 1000 holding 0.1%, as a ``{"atoms": [...]}`` payload."""
+def jittered_gaussian_grid(
+    atoms: int, seed: int = 0, mass: float = 1.0
+) -> tuple[list[float], list[float]]:
+    """Positions on a jittered grid over [-6, 6] and N(0, 1) masses summing to
+    ``mass``; the tails put many atoms of tiny mass into one guide bucket."""
     rng = random.Random(seed)
     step = 12.0 / (atoms - 1)
     xs = [-6.0 + step * (i + rng.uniform(-0.25, 0.25)) for i in range(atoms)]
     ws = [math.exp(-0.5 * x * x) for x in xs]
     total = math.fsum(ws)
-    atoms_list = [{"x": x, "w": 0.999 * w / total} for x, w in zip(xs, ws)]
+    return xs, [mass * w / total for w in ws]
+
+
+def wide_member(seed: int = 0, atoms: int = 10_001) -> dict:
+    """A jittered N(0, 1) grid on [-6, 6] holding 99.9% of the mass, plus an
+    outlier at 1000 holding 0.1%, as a ``{"atoms": [...]}`` payload."""
+    xs, ws = jittered_gaussian_grid(atoms, seed, mass=0.999)
+    atoms_list = [{"x": x, "w": w} for x, w in zip(xs, ws)]
     return {"atoms": atoms_list + [{"x": 1000.0, "w": 0.001}]}
 
 

@@ -339,10 +339,24 @@ class TestBenchAndDistinguish:
         )
 
     def test_bench_mom_too_few_samples(self, two_point_file, capsys):
-        code = run("bench-mom", "--in", two_point_file, "--n", "5", "--delta", "0.05")
+        # At --n 1 the group count is named ahead of the trimmed-mass refusal.
+        for n in ("1", "5"):
+            code = run("bench-mom", "--in", two_point_file, "--n", n, "--delta", "0.05")
+            assert code == 2
+            assert capsys.readouterr().err == (
+                f"error: need at least 14 samples for 14 groups, got {n}\n"
+            )
+
+    def test_bench_mom_group_sum_overflow(self, tmp_path, capsys):
+        # Finite moments (mean 1e307, variance 0), but a group of 100 draws
+        # sums past float64 range.
+        path = tmp_path / "big.json"
+        path.write_text('{"atoms": [{"x": 1e307, "w": 1.0}]}')
+        code = run("bench-mom", "--in", str(path), "--n", "1400", "--delta", "0.05",
+                   "--trials", "4")
         assert code == 2
         assert capsys.readouterr().err == (
-            "error: need at least 14 samples for 14 groups, got 5\n"
+            "error: a group sum overflows float64; rescale the samples\n"
         )
 
 
@@ -447,9 +461,22 @@ def test_unconvertible_atom_exit_two(atoms, named, tmp_path, capsys):
      ('{"atom": []}', """expected an object with an "atoms" list, got {'atom': []}"""),
      ('{"atoms": 5}', """expected an object with an "atoms" list, got {'atoms': 5}"""),
      ('{"atoms": ""}', """expected an object with an "atoms" list, got {'atoms': ''}"""),
-     ('{"atoms": []}', "distribution file holds no atoms")],
+     ('{"atoms": []}', "distribution file holds no atoms"),
+     # only JSON numbers are numbers: no booleans, no numeric strings
+     ('{"atoms": [{"x": true, "w": 1}]}', "atom 0 field 'x' has no float64 value: True"),
+     ('{"atoms": [{"x": false, "w": 1}]}', "atom 0 field 'x' has no float64 value: False"),
+     ('{"atoms": [{"x": "1.5", "w": 1}]}', "atom 0 field 'x' has no float64 value: '1.5'"),
+     ('{"atoms": [{"x": "1_000", "w": 1}]}',
+      "atom 0 field 'x' has no float64 value: '1_000'"),
+     ('{"atoms": [{"x": 0, "w": true}]}', "atom 0 field 'w' has no float64 value: True"),
+     ('{"atoms": [{"x": 0, "w": false}]}', "atom 0 field 'w' has no float64 value: False"),
+     ('{"atoms": [{"x": 0, "w": "1.5"}]}', "atom 0 field 'w' has no float64 value: '1.5'"),
+     ('{"atoms": [{"x": 0, "w": "1_000"}]}',
+      "atom 0 field 'w' has no float64 value: '1_000'")],
     ids=["atoms-object", "atom-not-object", "missing-w", "null-x", "top-level-list",
-         "missing-atoms", "atoms-number", "empty-atoms-string", "no-atoms"],
+         "missing-atoms", "atoms-number", "empty-atoms-string", "no-atoms",
+         "true-x", "false-x", "string-x", "underscore-string-x",
+         "true-w", "false-w", "string-w", "underscore-string-w"],
 )
 def test_malformed_payload_exit_two(text, message, tmp_path, capsys):
     # The loader names what is wrong, in the order it converts the payload.

@@ -1,6 +1,5 @@
 import itertools
 import math
-import random
 import tracemalloc
 from fractions import Fraction
 
@@ -12,7 +11,6 @@ from hypothesis import assume, given, settings
 from advmean import (
     AtomicDistribution,
     DomainError,
-    InsufficientSamplesError,
     TrialConfig,
     asymptotic_scan,
     bench_mom,
@@ -30,6 +28,7 @@ from advmean import (
 from advmean import corpus
 from advmean import adversary, distribution, harness
 
+from conftest import jittered_gaussian_grid
 from oracles import brute_force_trim, exact_lr_error, lr_wrong_reversed, mom_miss_bracket
 
 
@@ -64,17 +63,6 @@ class TestSample:
         assert float(draws.mean()) == pytest.approx(0.1, abs=0.01)
 
 
-def _jittered_gaussian_grid(atoms: int, seed: int = 0) -> AtomicDistribution:
-    """N(0, 1) masses on a jittered grid over [-6, 6]: its tails put many
-    atoms of tiny mass into one guide bucket."""
-    rng = random.Random(seed)
-    step = 12.0 / (atoms - 1)
-    xs = [-6.0 + step * (i + rng.uniform(-0.25, 0.25)) for i in range(atoms)]
-    ws = [math.exp(-0.5 * x * x) for x in xs]
-    total = math.fsum(ws)
-    return AtomicDistribution(xs, [w / total for w in ws])
-
-
 def _edge_uniforms(table) -> np.ndarray:
     """0, the largest double below 1, every ``cum`` value and its two
     neighbours, and every bucket edge ``b / G`` and its predecessor."""
@@ -105,7 +93,7 @@ class TestGuideDraw:
     @pytest.mark.parametrize("atoms", [10_001, 70_001])
     def test_wide_gaussian_grid(self, atoms):
         # 70,001 atoms would want 2^18 buckets and get the 2^16 cap.
-        d = _jittered_gaussian_grid(atoms)
+        d = AtomicDistribution(*jittered_gaussian_grid(atoms))
         _, start, crowded = d._guide_table
         assert start.size == min(1 << 16, 1 << (2 * atoms - 1).bit_length())
         assert crowded is not None and crowded.sum() >= 2
@@ -327,7 +315,7 @@ class TestBenchMom:
         assert rep["failure_rate"] <= rep["delta"] + rep["ci_halfwidth"]
 
     def test_insufficient_samples(self, two_point):
-        with pytest.raises(InsufficientSamplesError):
+        with pytest.raises(DomainError, match=r"^need at least 14 samples for 14 groups, got 5$"):
             bench_mom(two_point, TrialConfig(n=5, delta=0.05, trials=10, seed=0))
 
 

@@ -7,7 +7,6 @@ PUBLIC_NAMES = {
     "AtomicDistribution",
     "DegenerateError",
     "DomainError",
-    "InsufficientSamplesError",
     "TrialConfig",
     "TrimResult",
     "asymptotic_scan",
