@@ -6,7 +6,9 @@ are read as float64 and never modified.
 Both estimators follow one group rule.  Samples are split in input order
 into contiguous groups of near-equal size, the first ``n mod k`` of the ``k``
 groups taking one extra sample, and each group mean is its correctly-rounded
-sum (``fsum``) over its size.  The median of means takes
+sum (the value ``fsum`` gives) over its size: up to two rounds of error-free
+extraction (Rump, Ogita & Oishi 2008) split off parts with exact group totals,
+and ``fsum`` adds the rest when some is left.  The median of means takes
 ``k = ceil(4.5 * log(1/delta))`` groups (never below 1) and returns the middle
 mean, or the midpoint of the two central means for even ``k``; the sample
 mean is the one-group case.  Fewer samples than groups (``_groups``) or a
@@ -18,6 +20,7 @@ permutations across group boundaries can change it.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 import numpy as np
 
@@ -48,20 +51,29 @@ def _group_means(samples, delta: float | None) -> list[float]:
     values = np.asarray(samples, dtype=np.float64)
     if values.ndim != 1 or values.size < 1:
         raise DomainError("a sample batch must be 1-d with at least one value")
-    n = values.size
-    k = _groups(n, delta)
-    base, extra = divmod(n, k)
-    data = values.tolist()
-    means = []
-    start = 0
+    k = _groups(values.size, delta)
+    base, extra = divmod(values.size, k)
+    sizes = [base + 1] * extra + [base] * (k - extra)
+    starts = list(accumulate(sizes[:-1], initial=0))
+    # With sigma = 2^(e+m), max|x| < 2^e and 2^m >= largest group + 2, a round's
+    # q = (x + sigma) - sigma, x - q and group sums of q (below sigma) are exact.
+    m = (sizes[0] + 1).bit_length()
+    parts = []
+    top = float(np.abs(values).max())  # a round needs top < 2^(1023 - m)
+    sigma = math.ldexp(1.0, math.frexp(top)[1] + m) if top < 2.0 ** (1023 - m) else 0.0
+    while len(parts) < 2 and sigma >= 2.0**-1021:  # sigma / 2 stays normal
+        q = (values + sigma) - sigma
+        values = values - q
+        parts.append(np.add.reduceat(q, starts))
+        if not values.any():  # one addition rounds an exact float pair
+            return [s / size for s, size in zip(sum(parts).tolist(), sizes)]
+        sigma = math.ldexp(sigma, m - 53)
+    rest, parts = values.tolist(), [p.tolist() for p in parts]
     try:
-        for g in range(k):
-            size = base + (1 if g < extra else 0)
-            means.append(math.fsum(data[start : start + size]) / size)
-            start += size
+        return [math.fsum([p[g] for p in parts] + rest[start : start + size]) / size
+                for g, (start, size) in enumerate(zip(starts, sizes))]
     except OverflowError:
         raise DomainError("a group sum overflows float64; rescale the samples") from None
-    return means
 
 
 def median_of_means(samples, delta: float) -> float:

@@ -78,6 +78,8 @@ class TrialConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.n, (int, np.integer)):
+            raise DomainError(f"sample count must be an integer, got {self.n!r}")
         check_budget(self.n, self.delta)
         if not 1 <= self.trials <= sys.maxsize:
             raise DomainError(

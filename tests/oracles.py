@@ -15,6 +15,7 @@ from advmean import (
     trial_stream,
 )
 from advmean.distribution import align
+from advmean.estimators import _groups
 
 
 def affine(d: AtomicDistribution, s: float, c: float) -> AtomicDistribution:
@@ -36,6 +37,29 @@ def exact_variance(d: AtomicDistribution) -> Fraction:
     return sum(
         Fraction(w) * (Fraction(x) - mu) ** 2 for x, w in zip(d.xs.tolist(), d.ws.tolist())
     )
+
+
+def group_means_reference(samples, delta) -> list[float]:
+    """The group means under the group rule, one ``fsum`` per group over the
+    samples as Python floats, with ``estimators._group_means``' checks and
+    refusals; that function must match it bit for bit."""
+    values = np.asarray(samples, dtype=np.float64)
+    if values.ndim != 1 or values.size < 1:
+        raise DomainError("a sample batch must be 1-d with at least one value")
+    n = values.size
+    k = _groups(n, delta)
+    base, extra = divmod(n, k)
+    data = values.tolist()
+    means = []
+    start = 0
+    try:
+        for g in range(k):
+            size = base + (1 if g < extra else 0)
+            means.append(math.fsum(data[start : start + size]) / size)
+            start += size
+    except OverflowError:
+        raise DomainError("a group sum overflows float64; rescale the samples") from None
+    return means
 
 
 def distribution_json_reference(d: AtomicDistribution, meta=None) -> str:

@@ -19,7 +19,9 @@ from advmean import (
     trim,
     verify_neighborhood,
 )
+from advmean import distribution
 from advmean.distribution import (
+    _prepare_atoms,
     core_stats,
     distribution_from_dict,
     distribution_json,
@@ -368,6 +370,25 @@ class TestFileFormat:
         d = load_distribution(path)
         assert d.num_atoms == 2
         assert math.fsum(d.ws.tolist()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_loader_prepares_once(self, count_calls):
+        # Duplicate positions, inexact merges and a 1e-10 drift: one
+        # preparation gives the bytes of preparing, rescaling and then
+        # constructing (preparing again).
+        atoms = []
+        for i, atom in enumerate(wide_member()["atoms"]):
+            x, w = atom["x"], atom["w"]
+            atoms += [atom] if i % 7 else [{"x": x, "w": w / 3}, {"x": x, "w": w * 2 / 3}]
+        atoms[-1]["w"] += 1e-10
+        xs, ws, total = _prepare_atoms([a["x"] for a in atoms], [a["w"] for a in atoms])
+        expected = AtomicDistribution(xs, ws / total)
+        calls = count_calls([distribution], "_prepare_atoms")
+        d = distribution_from_dict({"atoms": atoms})
+        assert len(calls) == 1
+        assert abs(total - 1.0) > 5e-11 and d.num_atoms == 10_002 < len(atoms)
+        assert d.xs.tobytes() == expected.xs.tobytes()
+        assert d.ws.tobytes() == expected.ws.tobytes()
+        assert not d.xs.flags.writeable and not d.ws.flags.writeable
 
     def test_loader_rejects_large_drift(self):
         with pytest.raises(DomainError):

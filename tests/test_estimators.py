@@ -2,15 +2,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from advmean import (
     DomainError,
+    corpus,
     group_count,
     median_of_means,
+    sample,
     sample_mean,
+    trial_stream,
 )
+from advmean.estimators import _group_means
+from oracles import group_means_reference
 
 finite_floats = st.floats(
     allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6
@@ -123,17 +128,78 @@ class TestMedianOfMeans:
         # k = 1, odd k and even k; signed zeros compare equal, and their
         # order within a sort is not numpy's.
         assert group_count(delta) == k
-        base, extra = divmod(len(values), k)
-        means, start = [], 0
-        for g in range(k):
-            size = base + (g < extra)
-            means.append(math.fsum(values[start : start + size]) / size)
-            start += size
+        means = group_means_reference(values, delta)
         assert median_of_means(values, delta) == float(np.median(means))
 
     def test_nan_group_gives_nan(self):
         # as np.median does; a sort would place the NaN mean arbitrarily
         assert math.isnan(median_of_means([1.0] * 13 + [math.nan], 0.05))
+
+
+def _outcome(group_means, samples, delta):
+    """Every group mean's ``repr``, or the refusal message."""
+    try:
+        return [repr(mean) for mean in group_means(samples, delta)]
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+def _batch(kind: str, n: int, delta, seed: int) -> np.ndarray:
+    """``n`` seeded samples of one kind: a corpus member's draws, or floats
+    that stress exact group sums."""
+    rng = np.random.default_rng(seed)
+    if kind in corpus.names():
+        return sample(corpus.build(kind), n, trial_stream(seed, 0))
+    if kind == "mixed_exponents":  # every binary exponent, subnormals included
+        return rng.uniform(-1.0, 1.0, n) * 2.0 ** rng.integers(-1074, 1024, n)
+    if kind in ("shared_exponent", "one_signed"):  # group totals near 2^m max|x|
+        signs = rng.choice([-1.0, 1.0], 1 if kind == "one_signed" else n)
+        return np.ldexp(signs * rng.uniform(0.5, 1.0, n), int(rng.integers(-1074, 1024)))
+    if kind == "subnormal":
+        return rng.integers(-2**40, 2**40, n) * 5e-324
+    if kind == "signed_zeros":  # groups of -0.0 only, or zeros beside tiny values
+        return rng.choice([-0.0, 0.0, 5e-324, -1.0], n, p=[0.7, 0.1, 0.1, 0.1])
+    if kind == "extraction_limit":  # max|x| at or just below 2^(1023 - m)
+        largest = -(-n // (1 if delta is None else group_count(delta)))
+        limit = 2.0 ** (1023 - (largest + 1).bit_length())
+        top = rng.choice([limit, np.nextafter(limit, 0.0)])
+        return rng.choice([top, -top, 1.0, 0.0], n)
+    assert kind == "overflow"
+    return rng.choice([1e308, -1e308, 1.0], n)
+
+
+BATCH_KINDS = ["mixed_exponents", "shared_exponent", "one_signed", "subnormal",
+               "signed_zeros", "extraction_limit", "overflow", *corpus.names()]
+
+
+class TestExactGroupSums:
+    # Extraction must give fsum's group means bit for bit, and its refusals.
+    @given(
+        kind=st.sampled_from(BATCH_KINDS),
+        n=st.sampled_from([14, 15, 1400, 1401]) | st.integers(1, 40),
+        delta=st.sampled_from([0.05, 0.01, 0.5, None]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(kind="one_signed", n=1400, delta=0.05, seed=1)
+    @example(kind="pareto_15", n=1401, delta=0.01, seed=0)
+    @example(kind="signed_zeros", n=15, delta=None, seed=3)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_fsum_loop(self, kind, n, delta, seed):
+        batch = _batch(kind, n, delta, seed)
+        assert _outcome(_group_means, batch, delta) == _outcome(
+            group_means_reference, batch, delta
+        )
+
+    @pytest.mark.parametrize(
+        "samples",
+        [[1e308] * 28, [1e308, 1e308, -1e308] * 5, [-0.0] * 28, [0.0, -0.0] * 14],
+        ids=["overflow", "overflow-cancels", "negative-zeros", "signed-zeros"],
+    )
+    def test_edge_batches(self, samples):
+        for delta in (0.05, None):
+            assert _outcome(_group_means, samples, delta) == _outcome(
+                group_means_reference, samples, delta
+            )
 
 
 class TestSampleMean:

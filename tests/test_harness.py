@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -293,6 +294,14 @@ def test_one_stream_per_trial(bench, two_point, count_calls):
     else:
         lr_test_error(two_point, construct_q(two_point, 1000, 0.05).q, cfg)
     assert sorted(calls) == [(7, t) for t in range(6)]
+
+
+@pytest.mark.parametrize("n", [1.5, 0.5, 1400.0])
+def test_trial_config_refuses_non_integer_n(n):
+    # A float n used to fail later, with a TypeError inside a trial.
+    message = f"^sample count must be an integer, got {re.escape(repr(n))}$"
+    with pytest.raises(DomainError, match=message):
+        TrialConfig(n=n, delta=0.05, trials=4)
 
 
 class TestBenchMom:
