@@ -12,7 +12,8 @@ and ``fsum`` adds the rest when some is left.  The median of means takes
 ``k = ceil(4.5 * log(1/delta))`` groups (never below 1) and returns the middle
 mean, or the midpoint of the two central means for even ``k``; the sample
 mean is the one-group case.  Fewer samples than groups (``_groups``) or a
-group sum past float64 range is a :class:`~advmean.errors.DomainError`.
+group sum past float64 range is a :class:`~advmean.errors.DomainError`; a
+group holding both infinities, like one holding a NaN, has the mean NaN.
 Output is deterministic and unchanged by permuting samples within a group;
 permutations across group boundaries can change it.
 """
@@ -70,10 +71,18 @@ def _group_means(samples, delta: float | None) -> list[float]:
         sigma = math.ldexp(sigma, m - 53)
     rest, parts = values.tolist(), [p.tolist() for p in parts]
     try:
-        return [math.fsum([p[g] for p in parts] + rest[start : start + size]) / size
+        return [_fsum([p[g] for p in parts] + rest[start : start + size]) / size
                 for g, (start, size) in enumerate(zip(starts, sizes))]
     except OverflowError:
         raise DomainError("a group sum overflows float64; rescale the samples") from None
+
+
+def _fsum(terms: list[float]) -> float:
+    """``fsum``, but NaN for a group holding both infinities."""
+    try:
+        return math.fsum(terms)
+    except ValueError:  # -inf + inf
+        return math.nan
 
 
 def median_of_means(samples, delta: float) -> float:

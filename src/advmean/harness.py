@@ -19,24 +19,29 @@ Every trial draws from its own counter-based stream, a Philox generator
 keyed by ``SeedSequence([seed, trial_index])``.  A trial's outcome therefore
 depends only on ``(seed, trial_index)``: trials share no state, the order
 they run in does not matter, and identical configs reproduce
-bitwise-identical reports.  One loop, ``_trial_rate``, keeps this contract:
-it alone calls :func:`trial_stream`, and each benchmark passes it only a
-trial's outcome on a stream (``bench_mom`` a missed budget, ``lr_test_error``
-a wrong decision, run once over each source's half of the trials).
+bitwise-identical reports.  ``_stream_keys`` computes the keys of 1024
+trials at once by ``SeedSequence``'s own uint32 hash, column-wise, so each
+key, and so each stream, is bit for bit ``SeedSequence``'s.  One loop,
+``_trial_rate``, keeps this contract: it alone calls :func:`trial_stream`,
+and hands a benchmark's outcome the streams of up to ``_BLOCK`` consecutive
+trials (``bench_mom`` flags missed budgets, ``lr_test_error`` wrong
+decisions, run once over each source's half of the trials).
 
 A draw maps uniforms to atoms by ``AtomicDistribution._inverse_cdf``, an
 exact guide-table form of ``searchsorted(cum, u, side="right")``.  The LR
-test counts its draws per atom, in chunks of ``_CHUNK``, and sums the counts
-against exact integer limbs of the log ratios (``_limbs``), so each trial
-gets the sign and zero test of ``fsum`` in memory that does not grow with n.
+test draws each trial into one row of a buffer, counts all rows' draws per
+atom at once, in chunks of at most ``_CHUNK``, and sums the counts against
+exact integer limbs of the log ratios (``_limbs``), so each trial gets the
+sign and zero test of ``fsum`` in memory that does not grow with n.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -81,12 +86,16 @@ class TrialConfig:
         if not isinstance(self.n, (int, np.integer)):
             raise DomainError(f"sample count must be an integer, got {self.n!r}")
         check_budget(self.n, self.delta)
-        if not 1 <= self.trials <= sys.maxsize:
-            raise DomainError(
-                f"trials must lie in [1, {sys.maxsize}], got {self.trials!r}"
-            )
-        if self.seed < 0:
-            raise DomainError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        if not 1 <= _check_index("trials", self.trials) <= sys.maxsize:
+            raise DomainError(f"trials must lie in [1, {sys.maxsize}], got {self.trials!r}")
+        _check_index("seed", self.seed)
+
+
+def _check_index(name: str, value) -> int:
+    """``value`` as an int; :class:`DomainError` unless a nonnegative integer."""
+    if not isinstance(value, (int, np.integer)) or value < 0:
+        raise DomainError(f"{name} must be a nonnegative integer, got {value!r}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -94,9 +103,65 @@ class TrialConfig:
 # ---------------------------------------------------------------------------
 
 
+_KEY_BLOCK = 1024  # trials keyed at once; 2^32 is a multiple, so t's word count is fixed
+
+
+class _PhiloxKey:
+    """A precomputed Philox key, handed over as ``generate_state(2, np.uint64)``.
+    ``_stream_keys`` registers the class as an ``ISeedSequence`` on first use:
+    importing ``numpy.random`` with this module would cost every CLI call 6 MB."""
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise TypeError("a precomputed key answers only generate_state(2, np.uint64)")
+        return self.key
+
+
+@lru_cache(maxsize=4)
+def _stream_keys(seed: int, block: int) -> np.ndarray:
+    """Row ``j`` is ``SeedSequence([seed, t]).generate_state(2, np.uint64)``
+    for ``t = block * _KEY_BLOCK + j``: its ``mix_entropy`` into a pool of
+    four words, then ``generate_state``, one uint32 column per trial."""
+    from numpy.random.bit_generator import ISeedSequence
+    ISeedSequence.register(_PhiloxKey)
+    words = [[v >> s & 0xFFFFFFFF for s in range(0, max(v.bit_length(), 1), 32)]
+             for v in (seed, block * _KEY_BLOCK)]  # SeedSequence's uint32 words, low first
+    entropy = [np.full(_KEY_BLOCK, w, dtype=np.uint32) for w in words[0] + words[1]]
+    entropy[len(words[0])] += np.arange(_KEY_BLOCK, dtype=np.uint32)  # no carry: aligned
+
+    def hasher(const, mult):  # xor the running constant in, advance it, multiply, fold
+        def step(value):
+            nonlocal const
+            value = value ^ np.uint32(const)
+            const = const * mult & 0xFFFFFFFF
+            value = value * np.uint32(const)
+            return value ^ value >> np.uint32(16)
+        return step
+
+    def mix_in(dst, word):  # pool[dst] = mix(pool[dst], hashmix(word))
+        r = pool[dst] * np.uint32(0xCA01F9DD) - hashmix(word) * np.uint32(0x4973F715)
+        pool[dst] = r ^ r >> np.uint32(16)
+
+    hashmix = hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(w) for w in (entropy + [np.zeros_like(entropy[0])] * 4)[:4]]  # zero-padded
+    for src, dst in itertools.permutations(range(4), 2):
+        mix_in(dst, pool[src])
+    for word, dst in itertools.product(entropy[4:], range(4)):
+        mix_in(dst, word)
+    out = hasher(0x8B51F9DD, 0x58F38DED)  # generate_state: words pair up little-endian
+    keys = np.stack([out(w) for w in pool], axis=1).astype("<u4").view("<u8").astype(np.uint64)
+    keys.flags.writeable = False
+    return keys
+
+
 def trial_stream(seed: int, trial: int) -> np.random.Generator:
-    """Independent counter-based stream for one trial."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, trial])))
+    """Independent counter-based stream for one trial, keyed as ``SeedSequence([seed, trial])``."""
+    seed, trial = _check_index("seed", seed), _check_index("trial", trial)
+    block, row = divmod(trial, _KEY_BLOCK)
+    return np.random.Generator(np.random.Philox(_PhiloxKey(_stream_keys(seed, block)[row])))
 
 
 def sample(d: AtomicDistribution, count: int, stream: np.random.Generator) -> np.ndarray:
@@ -226,10 +291,15 @@ def verify_neighborhood(p: AtomicDistribution, n: int, delta: float) -> dict:
 # ---------------------------------------------------------------------------
 
 
+_BLOCK = 16  # trials per outcome call; the LR counts cost least per trial at 8 to 16 rows
+
+
 def _trial_rate(cfg: TrialConfig, trials: range, outcome) -> float:
-    """The one trial loop: the share of ``trials`` whose ``outcome`` holds on
-    the stream of ``(cfg.seed, t)``, the only stream trial ``t`` draws from."""
-    return sum(outcome(trial_stream(cfg.seed, t)) for t in trials) / len(trials)
+    """The one trial loop: the share of ``trials`` whose outcome holds, where
+    trial ``t`` draws only from the stream of ``(cfg.seed, t)``.  ``outcome``
+    maps the streams of up to ``_BLOCK`` consecutive trials to their flags."""
+    blocks = (trials[lo : lo + _BLOCK] for lo in range(0, len(trials), _BLOCK))
+    return sum(sum(outcome([trial_stream(cfg.seed, t) for t in b])) for b in blocks) / len(trials)
 
 
 def _trial_header(kind: str, cfg: TrialConfig) -> dict:
@@ -248,23 +318,19 @@ def bench_mom(p: AtomicDistribution, cfg: TrialConfig) -> dict:
     bound = stats.gap + 3.0 * stats.sigma_star * stats.rate
     limit = bound + MOM_ROUNDING_TOL * float(np.abs(p.xs).max())
 
-    def missed(stream: np.random.Generator) -> bool:
-        return abs(median_of_means(sample(p, cfg.n, stream), cfg.delta) - mu_p) > limit
+    def missed(streams: list[np.random.Generator]) -> list[bool]:
+        return [abs(median_of_means(sample(p, cfg.n, s), cfg.delta) - mu_p) > limit
+                for s in streams]
 
     failure_rate = _trial_rate(cfg, range(cfg.trials), missed)
     ci_halfwidth = 3.0 * math.sqrt(cfg.delta * (1.0 - cfg.delta) / cfg.trials)
-    return {
-        **_trial_header("bench_mom", cfg),
-        "mu_p": mu_p,
-        "bound": bound,
-        "failure_rate": failure_rate,
-        "ci_halfwidth": ci_halfwidth,
-        "pass": failure_rate <= cfg.delta + ci_halfwidth,
-    }
+    return {**_trial_header("bench_mom", cfg), "mu_p": mu_p, "bound": bound,
+            "failure_rate": failure_rate, "ci_halfwidth": ci_halfwidth,
+            "pass": failure_rate <= cfg.delta + ci_halfwidth}
 
 
 _LIMB_BITS = 30
-_CHUNK = 1 << 16  # uniforms per draw; a limb sum stays below 2^46
+_CHUNK = 1 << 16  # uniforms per chunk over all rows; a limb sum stays below 2^46
 
 
 def _limbs(table: np.ndarray) -> np.ndarray:
@@ -296,29 +362,28 @@ def _fold(sums: list[int]) -> float | int:
     return sum(v << (_LIMB_BITS * k) for k, v in enumerate(limbs))
 
 
-def _lr_statistic(
-    d: AtomicDistribution, limbs: np.ndarray, n: int, stream: np.random.Generator
-) -> float | int:
-    """``n`` draws from ``d`` in chunks, summed as per-atom counts; the
-    chunked draws consume ``stream`` exactly as one draw of ``n`` would."""
-    sums = [0] * limbs.shape[1]
-    for done in range(0, n, _CHUNK):
-        counts = np.bincount(
-            d._inverse_cdf(stream.random(min(_CHUNK, n - done))), minlength=d.num_atoms
-        )
-        sums = [a + b for a, b in zip(sums, (counts @ limbs).tolist())]
-    return _fold(sums)
-
-
 def _lr_errs(
-    d: AtomicDistribution, limbs: np.ndarray, n: int, from_q: bool,
-    stream: np.random.Generator,
-) -> bool:
-    """Whether one trial of :func:`lr_test_error` on ``n`` draws from ``d``
-    decides wrongly; ``d`` is ``q`` when ``from_q``."""
-    lam = _lr_statistic(d, limbs, n, stream)
-    decide_q = stream.random() < 0.5 if lam == 0 else lam > 0
-    return decide_q != from_q
+    d: AtomicDistribution, limbs: np.ndarray, n: int, from_q: bool, buf: np.ndarray,
+    streams: list[np.random.Generator],
+) -> list[bool]:
+    """Whether each trial of :func:`lr_test_error` on ``n`` draws from ``d``,
+    one trial per stream, decides wrongly; ``d`` is ``q`` when ``from_q``.
+    Row ``r`` of each chunk in ``buf`` holds stream ``r``'s next draws, so
+    each stream is consumed exactly as by one draw of ``n``, then its coin."""
+    rows, atoms = len(streams), d.num_atoms
+    share = min(n, _CHUNK // rows)
+    for done in range(0, n, share):
+        size = min(share, n - done)
+        for r, stream in enumerate(streams):
+            stream.random(size, out=buf[r * size : (r + 1) * size])
+        idx = d._inverse_cdf(buf[: rows * size]).reshape(rows, size)
+        idx += np.arange(0, rows * atoms, atoms)[:, None]
+        counts = np.bincount(idx.ravel(), minlength=rows * atoms).reshape(rows, atoms)
+        del idx  # freed before the next chunk's draws, so the peak does not grow with n
+        part = (counts @ limbs).tolist()
+        sums = part if done == 0 else [[a + b for a, b in zip(*ab)] for ab in zip(sums, part)]
+    return [(stream.random() < 0.5 if lam == 0 else lam > 0) != from_q
+            for lam, stream in zip(map(_fold, sums), streams)]
 
 
 def lr_test_error(
@@ -346,21 +411,17 @@ def lr_test_error(
     ]))
     limbs_p, limbs_q = limbs[wp > 0.0], limbs[wq > 0.0]
     half = cfg.trials // 2
-    type_i = _trial_rate(cfg, range(half), partial(_lr_errs, p, limbs_p, cfg.n, False))
+    buf = np.empty(min(_CHUNK, _BLOCK * cfg.n))  # one draw buffer for every chunk
+    type_i = _trial_rate(cfg, range(half), partial(_lr_errs, p, limbs_p, cfg.n, False, buf))
     type_ii = _trial_rate(
-        cfg, range(half, cfg.trials), partial(_lr_errs, q, limbs_q, cfg.n, True)
+        cfg, range(half, cfg.trials), partial(_lr_errs, q, limbs_q, cfg.n, True, buf)
     )
     empirical_error = 0.5 * (type_i + type_ii)
     ci_halfwidth = 3.0 * math.sqrt(0.25 / cfg.trials)
-    return {
-        **_trial_header("lr_test_error", cfg),
-        "type_i": type_i,
-        "type_ii": type_ii,
-        "empirical_error": empirical_error,
-        "ci_halfwidth": ci_halfwidth,
-        "delta_floor": cfg.delta - ci_halfwidth,
-        "pass": empirical_error >= cfg.delta - ci_halfwidth,
-    }
+    return {**_trial_header("lr_test_error", cfg), "type_i": type_i, "type_ii": type_ii,
+            "empirical_error": empirical_error, "ci_halfwidth": ci_halfwidth,
+            "delta_floor": cfg.delta - ci_halfwidth,
+            "pass": empirical_error >= cfg.delta - ci_halfwidth}
 
 
 def asymptotic_scan(

@@ -12,7 +12,6 @@ from advmean import (
     TrimResult,
     group_count,
     sample,
-    trial_stream,
 )
 from advmean.distribution import align
 from advmean.estimators import _groups
@@ -41,8 +40,9 @@ def exact_variance(d: AtomicDistribution) -> Fraction:
 
 def group_means_reference(samples, delta) -> list[float]:
     """The group means under the group rule, one ``fsum`` per group over the
-    samples as Python floats, with ``estimators._group_means``' checks and
-    refusals; that function must match it bit for bit."""
+    samples as Python floats (NaN where a group holds both infinities), with
+    ``estimators._group_means``' checks and refusals; that function must
+    match it bit for bit."""
     values = np.asarray(samples, dtype=np.float64)
     if values.ndim != 1 or values.size < 1:
         raise DomainError("a sample batch must be 1-d with at least one value")
@@ -55,7 +55,9 @@ def group_means_reference(samples, delta) -> list[float]:
     try:
         for g in range(k):
             size = base + (1 if g < extra else 0)
-            means.append(math.fsum(data[start : start + size]) / size)
+            group = data[start : start + size]
+            both = math.inf in group and -math.inf in group
+            means.append(math.nan if both else math.fsum(group) / size)
             start += size
     except OverflowError:
         raise DomainError("a group sum overflows float64; rescale the samples") from None
@@ -226,6 +228,12 @@ def mom_miss_bracket(
     return lower, upper
 
 
+def trial_stream_reference(seed: int, t: int) -> np.random.Generator:
+    """The stream of trial ``t`` built as the randomness contract states it:
+    Philox keyed by ``SeedSequence([seed, t])``."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, t])))
+
+
 def lr_wrong_reversed(p, q, cfg):
     """Reference LR test, recomputed last trial first: the first half of the
     trials draws from p, the rest from q, and each draw contributes the log
@@ -240,7 +248,7 @@ def lr_wrong_reversed(p, q, cfg):
     for t in reversed(range(cfg.trials)):
         from_p = t < cfg.trials // 2
         source, table = (p, table_p) if from_p else (q, table_q)
-        stream = trial_stream(cfg.seed, t)
+        stream = trial_stream_reference(cfg.seed, t)
         draws = sample(source, cfg.n, stream)
         terms = table[np.searchsorted(source.xs, draws)]
         if np.all(np.isfinite(terms)):

@@ -22,14 +22,19 @@ from advmean import (
     median_of_means,
     sample,
     standard_trim,
-    trial_stream,
     trim,
     verify_neighborhood,
     verify_theorem,
 )
 from advmean import corpus
 
-from oracles import bhattacharyya, brute_force_trim, lr_wrong_reversed, skew_masses
+from oracles import (
+    bhattacharyya,
+    brute_force_trim,
+    lr_wrong_reversed,
+    skew_masses,
+    trial_stream_reference,
+)
 
 N_GRID = [10**3, 10**4, 10**5]
 DELTA_GRID = [0.05, 0.01, 0.001]
@@ -221,7 +226,7 @@ def _mom_fails_reversed(p, cfg, mu_p, bound):
     """Each trial's miss, recomputed on its own stream, last trial first."""
     fails = []
     for t in reversed(range(cfg.trials)):
-        est = median_of_means(sample(p, cfg.n, trial_stream(cfg.seed, t)), cfg.delta)
+        est = median_of_means(sample(p, cfg.n, trial_stream_reference(cfg.seed, t)), cfg.delta)
         fails.append(abs(est - mu_p) > bound)
     return fails
 

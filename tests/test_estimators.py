@@ -135,6 +135,10 @@ class TestMedianOfMeans:
         # as np.median does; a sort would place the NaN mean arbitrarily
         assert math.isnan(median_of_means([1.0] * 13 + [math.nan], 0.05))
 
+    def test_group_with_both_infinities_gives_nan(self):
+        # fsum refuses -inf + inf; the group's mean is NaN, as for a NaN sample
+        assert math.isnan(median_of_means([math.inf, -math.inf] * 7, 0.95))
+
 
 def _outcome(group_means, samples, delta):
     """Every group mean's ``repr``, or the refusal message."""
@@ -192,8 +196,10 @@ class TestExactGroupSums:
 
     @pytest.mark.parametrize(
         "samples",
-        [[1e308] * 28, [1e308, 1e308, -1e308] * 5, [-0.0] * 28, [0.0, -0.0] * 14],
-        ids=["overflow", "overflow-cancels", "negative-zeros", "signed-zeros"],
+        [[1e308] * 28, [1e308, 1e308, -1e308] * 5, [-0.0] * 28, [0.0, -0.0] * 14,
+         [math.inf, -math.inf] * 14, [math.inf, -math.inf, 1.0] * 10],
+        ids=["overflow", "overflow-cancels", "negative-zeros", "signed-zeros",
+             "both-infinities", "some-groups-both-infinities"],
     )
     def test_edge_batches(self, samples):
         for delta in (0.05, None):
@@ -212,6 +218,9 @@ class TestSampleMean:
 
     def test_symmetric(self):
         assert sample_mean([-1.0, 1.0]) == 0.0
+
+    def test_both_infinities_give_nan(self):
+        assert math.isnan(sample_mean([math.inf, -math.inf]))
 
     def test_arithmetic(self):
         assert sample_mean([1.0, 2.0, 3.0, 4.0]) == 2.5

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -30,7 +31,13 @@ from advmean import corpus
 from advmean import adversary, distribution, harness
 
 from conftest import jittered_gaussian_grid
-from oracles import brute_force_trim, exact_lr_error, lr_wrong_reversed, mom_miss_bracket
+from oracles import (
+    brute_force_trim,
+    exact_lr_error,
+    lr_wrong_reversed,
+    mom_miss_bracket,
+    trial_stream_reference,
+)
 
 
 def random_small_instance(rng):
@@ -62,6 +69,66 @@ class TestSample:
         d = AtomicDistribution([0.0, 1.0], [0.9, 0.1])
         draws = sample(d, 20000, trial_stream(0, 1))
         assert float(draws.mean()) == pytest.approx(0.1, abs=0.01)
+
+
+def _state(stream: np.random.Generator) -> dict:
+    """The bit generator's state with its arrays as lists, for ``==``."""
+    state = stream.bit_generator.state
+    return {
+        key: {k: v.tolist() for k, v in value.items()} if isinstance(value, dict)
+        else value.tolist() if isinstance(value, np.ndarray) else value
+        for key, value in state.items()
+    }
+
+
+class TestTrialStream:
+    """Block-computed keys give the stream ``SeedSequence([seed, t])`` keys."""
+
+    @given(
+        seed=st.integers(1, 7).flatmap(
+            lambda words: st.integers(2 ** (32 * words - 32) if words > 1 else 0,
+                                      2 ** (32 * words) - 1)
+        ),
+        t=st.sampled_from([0, 1023, 1024, 2**32 - 1, 2**32, sys.maxsize])
+        | st.integers(0, 2**64),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_seed_sequence(self, seed, t):
+        stream, reference = trial_stream(seed, t), trial_stream_reference(seed, t)
+        assert _state(stream) == _state(reference)
+        assert stream.random(3).tolist() == reference.random(3).tolist()
+
+    def test_every_trial_of_two_blocks(self):
+        for t in range(2048):
+            assert _state(trial_stream(11, t)) == _state(trial_stream_reference(11, t))
+
+    @pytest.mark.parametrize(
+        "seed, trial, message",
+        [(-1, 0, "seed must be a nonnegative integer, got -1"),
+         (0.5, 0, "seed must be a nonnegative integer, got 0.5"),
+         (-(2**40), 3, "seed must be a nonnegative integer, got -1099511627776"),
+         (0, -1, "trial must be a nonnegative integer, got -1"),
+         (0, 2.0, "trial must be a nonnegative integer, got 2.0"),
+         (0, "3", "trial must be a nonnegative integer, got '3'")],
+        ids=["negative-seed", "float-seed", "negative-wide-seed", "negative-trial",
+             "float-trial", "str-trial"],
+    )
+    def test_refuses_bad_seed_or_trial(self, seed, trial, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            trial_stream(seed, trial)
+
+    def test_key_answers_only_philox(self):
+        key = trial_stream(0, 0).bit_generator.seed_seq
+        assert key.generate_state(2, np.uint64).tolist() == (
+            np.random.SeedSequence([0, 0]).generate_state(2, np.uint64).tolist()
+        )
+        with pytest.raises(TypeError):
+            key.generate_state(4, np.uint32)
+
+    def test_numpy_integers(self):
+        assert _state(trial_stream(np.uint64(7), np.int64(1030))) == _state(
+            trial_stream_reference(7, 1030)
+        )
 
 
 def _edge_uniforms(table) -> np.ndarray:
@@ -304,6 +371,21 @@ def test_trial_config_refuses_non_integer_n(n):
         TrialConfig(n=n, delta=0.05, trials=4)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("trials", 2.5, "trials must be a nonnegative integer, got 2.5"),
+     ("trials", 0, "trials must lie in [1, {}], got 0"),
+     ("seed", 0.5, "seed must be a nonnegative integer, got 0.5"),
+     ("seed", -3, "seed must be a nonnegative integer, got -3")],
+    ids=["float-trials", "zero-trials", "float-seed", "negative-seed"],
+)
+def test_trial_config_refuses_bad_trials_and_seed(field, value, message):
+    # A float trials or seed used to fail later, with a TypeError.
+    cfg = {"n": 100, "delta": 0.05, "trials": 4, "seed": 0, field: value}
+    with pytest.raises(DomainError, match=f"^{re.escape(message.format(sys.maxsize))}$"):
+        TrialConfig(**cfg)
+
+
 class TestBenchMom:
     @pytest.mark.parametrize(
         "x, n",
@@ -403,6 +485,16 @@ class TestLrTestError:
         small, large = peak(10**5), peak(10**6)
         assert large <= small + 64 * 1024
         assert large < 8 * 10**6 // 2
+
+    @pytest.mark.parametrize("name", corpus.names())
+    def test_matches_per_trial_reference(self, name):
+        # 37 trials per half: neither half is a whole number of blocks.
+        p = corpus.build(name)
+        q = construct_q(p, 1000, 0.05).q
+        cfg = TrialConfig(n=1000, delta=0.05, trials=74, seed=3)
+        rep = lr_test_error(p, q, cfg)
+        wrong = lr_wrong_reversed(p, q, cfg)
+        assert (rep["type_i"], rep["type_ii"]) == (sum(wrong[:37]) / 37, sum(wrong[37:]) / 37)
 
     def test_odd_trials_rejected(self, two_point):
         with pytest.raises(DomainError):
@@ -546,16 +638,22 @@ class TestCountedLrStatistic:
         assert np.array_equal(harness._limbs(np.array(table))[np.array(keep)], own)
 
     def test_chunked_draws_match_one_draw(self):
-        # Past one chunk, the statistic decides as fsum over one draw of n
-        # and leaves the stream where that draw does, for the tie coin.
+        # Past one row's chunk share, each row decides as fsum over one draw
+        # of n and leaves its stream where that draw does, for the tie coin.
         d = corpus.build("gaussian_grid")
         table = np.linspace(-3.0, 3.0, d.num_atoms) ** 3
-        n = harness._CHUNK + 12_345
-        chunked, whole = trial_stream(5, 7), trial_stream(5, 7)
-        lam = harness._lr_statistic(d, harness._limbs(table), n, chunked)
-        expected = math.fsum(table[d._inverse_cdf(whole.random(n))].tolist())
-        assert _decision(lam) == _decision(expected)
-        assert chunked.random() == whole.random()
+        rows = 5
+        n = harness._CHUNK // rows + 12_345
+        blocked = [trial_stream(5, t) for t in range(rows)]
+        whole = [trial_stream(5, t) for t in range(rows)]
+        wrong = harness._lr_errs(
+            d, harness._limbs(table), n, False, np.empty(harness._CHUNK), blocked
+        )
+        for got, b, w in zip(wrong, blocked, whole):
+            expected = math.fsum(table[d._inverse_cdf(w.random(n))].tolist())
+            assert expected != 0.0  # no coin drawn
+            assert got == _decision(expected)[1]
+            assert b.random() == w.random()
 
 
 class TestAsymptoticScan:
