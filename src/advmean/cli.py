@@ -8,7 +8,8 @@ floats use their shortest round-trip form.  ``construct`` and ``gen`` write
 with ``distribution_json``, byte for byte ``json.dumps(indent=2, sort_keys=True)``.
 
 Exit codes: 0 pass, 1 a checked condition failed, 2 usage or parse error,
-3 degenerate or regime-refused input without ``--override-regime``.
+3 degenerate or regime-refused input without ``--override-regime``.  Only
+``main`` prints a refusal and picks its exit code: the subcommands raise it.
 
 The default seed is 0, overridable through the ``ADVMEAN_SEED`` environment
 variable or ``--seed``.
@@ -136,8 +137,7 @@ def _cmd_verify(args) -> int:
         report = args.verifier(p, args.n, args.delta)
     _emit(_json_bytes(report), args.out)
     if report["degenerate"]:
-        print(f"refused: degenerate input ({report['meta']['reason']})", file=sys.stderr)
-        return EXIT_REFUSED
+        raise DegenerateError(f"degenerate input ({report['meta']['reason']})")
     return EXIT_PASS if report["pass"] or not enforced else EXIT_FAIL
 
 

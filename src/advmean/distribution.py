@@ -389,9 +389,7 @@ def distribution_from_dict(payload: dict) -> AtomicDistribution:
         raise DomainError(
             f"masses sum to {total!r}, more than {LOAD_MASS_TOL} away from 1"
         )
-    ws_arr = ws_arr / total  # prepared once: only these two checks can fail now
-    if not (ws_arr > 0.0).all() or abs(float(ws_arr.sum()) - 1.0) > MASS_TOL:
-        raise DomainError(f"masses rescaled by {total!r} are not positive with unit sum")
+    ws_arr = ws_arr / total
     ws_arr.flags.writeable = False
     d = object.__new__(AtomicDistribution)
     vars(d).update(xs=xs_arr, ws=ws_arr)

@@ -29,10 +29,10 @@ decisions, run once over each source's half of the trials).
 
 A draw maps uniforms to atoms by ``AtomicDistribution._inverse_cdf``, an
 exact guide-table form of ``searchsorted(cum, u, side="right")``.  The LR
-test draws each trial into one row of a buffer, counts all rows' draws per
-atom at once, in chunks of at most ``_CHUNK``, and sums the counts against
-exact integer limbs of the log ratios (``_limbs``), so each trial gets the
-sign and zero test of ``fsum`` in memory that does not grow with n.
+kernel draws each trial into one row of a buffer it owns, counts all rows'
+draws per atom at once, in chunks of at most ``_CHUNK``, and sums the counts
+against exact integer limbs of the log ratios (``_limbs``), so each trial
+gets the sign and zero test of ``fsum`` in memory that does not grow with n.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 
 import numpy as np
@@ -107,17 +107,24 @@ _KEY_BLOCK = 1024  # trials keyed at once; 2^32 is a multiple, so t's word count
 
 
 class _PhiloxKey:
-    """A precomputed Philox key, handed over as ``generate_state(2, np.uint64)``.
-    ``_stream_keys`` registers the class as an ``ISeedSequence`` on first use:
-    importing ``numpy.random`` with this module would cost every CLI call 6 MB."""
+    """``SeedSequence([seed, trial])`` as Philox uses it: its key, precomputed,
+    and its ``spawn``, built on first use.  ``_stream_keys`` registers the class
+    as an ``ISpawnableSeedSequence`` on first use: importing ``numpy.random``
+    with this module would cost every CLI call 6 MB."""
 
-    def __init__(self, key: np.ndarray):
-        self.key = key
+    def __init__(self, seed: int, trial: int):
+        self.entropy, self._seq = [seed, trial], None
+        self.key = _stream_keys(seed, trial // _KEY_BLOCK)[trial % _KEY_BLOCK]
 
     def generate_state(self, n_words, dtype=np.uint32):
         if n_words != 2 or np.dtype(dtype) != np.uint64:
             raise TypeError("a precomputed key answers only generate_state(2, np.uint64)")
         return self.key
+
+    def spawn(self, n_children):
+        if self._seq is None:
+            self._seq = np.random.SeedSequence(self.entropy)
+        return self._seq.spawn(n_children)
 
 
 @lru_cache(maxsize=4)
@@ -125,8 +132,8 @@ def _stream_keys(seed: int, block: int) -> np.ndarray:
     """Row ``j`` is ``SeedSequence([seed, t]).generate_state(2, np.uint64)``
     for ``t = block * _KEY_BLOCK + j``: its ``mix_entropy`` into a pool of
     four words, then ``generate_state``, one uint32 column per trial."""
-    from numpy.random.bit_generator import ISeedSequence
-    ISeedSequence.register(_PhiloxKey)
+    from numpy.random.bit_generator import ISpawnableSeedSequence
+    ISpawnableSeedSequence.register(_PhiloxKey)
     words = [[v >> s & 0xFFFFFFFF for s in range(0, max(v.bit_length(), 1), 32)]
              for v in (seed, block * _KEY_BLOCK)]  # SeedSequence's uint32 words, low first
     entropy = [np.full(_KEY_BLOCK, w, dtype=np.uint32) for w in words[0] + words[1]]
@@ -160,8 +167,7 @@ def _stream_keys(seed: int, block: int) -> np.ndarray:
 def trial_stream(seed: int, trial: int) -> np.random.Generator:
     """Independent counter-based stream for one trial, keyed as ``SeedSequence([seed, trial])``."""
     seed, trial = _check_index("seed", seed), _check_index("trial", trial)
-    block, row = divmod(trial, _KEY_BLOCK)
-    return np.random.Generator(np.random.Philox(_PhiloxKey(_stream_keys(seed, block)[row])))
+    return np.random.Generator(np.random.Philox(_PhiloxKey(seed, trial)))
 
 
 def sample(d: AtomicDistribution, count: int, stream: np.random.Generator) -> np.ndarray:
@@ -241,15 +247,14 @@ def verify_pair(
 
 def _verify_partner(claim: str, p: AtomicDistribution, n: int, delta: float, rows):
     """Construct the partner of ``p`` and report ``rows(res, meta)`` under the
-    regime flags the construction recorded, where ``meta`` is the report's
-    copy of the construction record; a ``p`` with no partner gets the
+    regime flags the construction recorded, where ``meta`` is the construction
+    record, which becomes the report's own; a ``p`` with no partner gets the
     degenerate report."""
     try:
         res = construct_q(p, n, delta)
     except DegenerateError as exc:
         return _report(claim, regime_flags(n, delta), (), {"reason": str(exc)})
-    meta = res.meta_dict()
-    return _report(claim, meta["regime"], rows(res, meta), meta)
+    return _report(claim, res.meta["regime"], rows(res, res.meta), res.meta)
 
 
 def verify_theorem(p: AtomicDistribution, n: int, delta: float) -> dict:
@@ -302,11 +307,6 @@ def _trial_rate(cfg: TrialConfig, trials: range, outcome) -> float:
     return sum(sum(outcome([trial_stream(cfg.seed, t) for t in b])) for b in blocks) / len(trials)
 
 
-def _trial_header(kind: str, cfg: TrialConfig) -> dict:
-    return {"kind": kind, "n": cfg.n, "delta": cfg.delta, "trials": cfg.trials,
-            "seed": cfg.seed}
-
-
 def bench_mom(p: AtomicDistribution, cfg: TrialConfig) -> dict:
     """Measure how often the median-of-means misses its error budget
     ``|mu - mu*| + 3 sigma* sqrt(4.5 log(1/delta) / n)`` by more than its
@@ -324,7 +324,7 @@ def bench_mom(p: AtomicDistribution, cfg: TrialConfig) -> dict:
 
     failure_rate = _trial_rate(cfg, range(cfg.trials), missed)
     ci_halfwidth = 3.0 * math.sqrt(cfg.delta * (1.0 - cfg.delta) / cfg.trials)
-    return {**_trial_header("bench_mom", cfg), "mu_p": mu_p, "bound": bound,
+    return {"kind": "bench_mom", **asdict(cfg), "mu_p": mu_p, "bound": bound,
             "failure_rate": failure_rate, "ci_halfwidth": ci_halfwidth,
             "pass": failure_rate <= cfg.delta + ci_halfwidth}
 
@@ -363,7 +363,7 @@ def _fold(sums: list[int]) -> float | int:
 
 
 def _lr_errs(
-    d: AtomicDistribution, limbs: np.ndarray, n: int, from_q: bool, buf: np.ndarray,
+    d: AtomicDistribution, limbs: np.ndarray, n: int, from_q: bool,
     streams: list[np.random.Generator],
 ) -> list[bool]:
     """Whether each trial of :func:`lr_test_error` on ``n`` draws from ``d``,
@@ -372,6 +372,7 @@ def _lr_errs(
     each stream is consumed exactly as by one draw of ``n``, then its coin."""
     rows, atoms = len(streams), d.num_atoms
     share = min(n, _CHUNK // rows)
+    buf = np.empty(rows * share)
     for done in range(0, n, share):
         size = min(share, n - done)
         for r, stream in enumerate(streams):
@@ -411,14 +412,11 @@ def lr_test_error(
     ]))
     limbs_p, limbs_q = limbs[wp > 0.0], limbs[wq > 0.0]
     half = cfg.trials // 2
-    buf = np.empty(min(_CHUNK, _BLOCK * cfg.n))  # one draw buffer for every chunk
-    type_i = _trial_rate(cfg, range(half), partial(_lr_errs, p, limbs_p, cfg.n, False, buf))
-    type_ii = _trial_rate(
-        cfg, range(half, cfg.trials), partial(_lr_errs, q, limbs_q, cfg.n, True, buf)
-    )
+    type_i = _trial_rate(cfg, range(half), partial(_lr_errs, p, limbs_p, cfg.n, False))
+    type_ii = _trial_rate(cfg, range(half, cfg.trials), partial(_lr_errs, q, limbs_q, cfg.n, True))
     empirical_error = 0.5 * (type_i + type_ii)
     ci_halfwidth = 3.0 * math.sqrt(0.25 / cfg.trials)
-    return {**_trial_header("lr_test_error", cfg), "type_i": type_i, "type_ii": type_ii,
+    return {"kind": "lr_test_error", **asdict(cfg), "type_i": type_i, "type_ii": type_ii,
             "empirical_error": empirical_error, "ci_halfwidth": ci_halfwidth,
             "delta_floor": cfg.delta - ci_halfwidth,
             "pass": empirical_error >= cfg.delta - ci_halfwidth}

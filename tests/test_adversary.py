@@ -14,7 +14,7 @@ from advmean import (
     standard_trim,
 )
 from advmean import corpus
-from advmean.adversary import _clamped_shift
+from advmean.adversary import _bisect_skew, _clamped_shift
 
 from conftest import atomic_distributions, symmetric_distributions
 from oracles import affine, skew_masses, skew_partner
@@ -73,6 +73,11 @@ class TestSolveSkew:
         d = AtomicDistribution([-1.0, 0.0, 1.0], [0.0005, 0.999, 0.0005])
         with pytest.raises(DegenerateError):
             construct_q(d, N, DELTA)
+
+    def test_saturated_bracket(self, two_point):
+        # The shift at the upper end a = 0.5 is 0.5, short of the target 2.
+        dev = two_point.xs - two_point.mean
+        assert _bisect_skew(dev, two_point.ws, two_point.variance, 2.0, 0.5) == (0.5, True)
 
     @given(atomic_distributions(min_atoms=2))
     @settings(max_examples=100)

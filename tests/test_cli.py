@@ -381,6 +381,9 @@ SAME = "<the --in file>"  # stands for the fixture path in an argument list
         (["scan", "--delta", "0", "--n-list", "1000"], "got 0.0"),
         (["scan", "--delta", "-0.5", "--n-list", "1000"], "got -0.5"),
         (["scan", "--delta", "0.05", "--n-list", HUGE], f"got {HUGE}"),
+        (["scan", "--delta", "0.05", "--n-list", "1,x"],
+         "bad --n-list: invalid literal for int() with base 10: 'x'"),
+        (["scan", "--delta", "0.05", "--n-list", ","], "--n-list is empty"),
         (["verify", "--n", HUGE, "--delta", "0.05"], f"got {HUGE}"),
         (["construct", "--n", HUGE, "--delta", "0.05"], f"got {HUGE}"),
         (["distinguish", "--pair", SAME, "--n", HUGE, "--delta", "0.05", "--trials", "2"],
@@ -389,9 +392,9 @@ SAME = "<the --in file>"  # stands for the fixture path in an argument list
         (["distinguish", "--pair", SAME, "--n", "140", "--delta", "0.05", "--trials", MANY],
          f"got {MANY}"),
     ],
-    ids=["scan-delta-zero", "scan-delta-negative", "scan-huge-n", "verify-huge-n",
-         "construct-huge-n", "distinguish-huge-n", "bench-mom-huge-trials",
-         "distinguish-huge-trials"],
+    ids=["scan-delta-zero", "scan-delta-negative", "scan-huge-n", "scan-n-list-not-int",
+         "scan-n-list-empty", "verify-huge-n", "construct-huge-n", "distinguish-huge-n",
+         "bench-mom-huge-trials", "distinguish-huge-trials"],
 )
 def test_bad_numbers_exit_two(argv, named, two_point_file, capsys):
     rest = [two_point_file if a == SAME else a for a in argv[1:]]
@@ -439,8 +442,12 @@ def test_overflowing_sum_exit_two(argv, payload, tmp_path, capsys):
      ('{"x": %s, "w": 1.0}' % ("9" * 5000), "value has 5000 digits"),
      ('{"x": 0, "w": 1e308}, {"x": 1, "w": 1e308}',
       "masses sum past float64 range (largest mass 1e+308)"),
-     ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded")],
-    ids=["string", "huge-int", "over-long-int", "mass-sum-overflow", "deep-nesting"],
+     ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+     # Python's json reads these non-JSON constants as floats
+     ('{"x": Infinity, "w": 1.0}', "positions and masses must be finite"),
+     ('{"x": 0, "w": NaN}', "positions and masses must be finite")],
+    ids=["string", "huge-int", "over-long-int", "mass-sum-overflow", "deep-nesting",
+         "infinite-x", "nan-w"],
 )
 def test_unconvertible_atom_exit_two(atoms, named, tmp_path, capsys):
     path = tmp_path / "bad.json"

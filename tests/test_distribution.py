@@ -78,6 +78,29 @@ class TestConstruction:
         with pytest.raises(ValueError):
             two_point.ws[0] = 0.9
 
+    @pytest.mark.parametrize(
+        "xs, ws", [([0.0, 1.0], [1.0]), ([[0.0, 1.0]], [[0.5, 0.5]])],
+        ids=["unequal-lengths", "2-d"],
+    )
+    def test_rejects_mismatched_arrays(self, xs, ws):
+        message = "^positions and masses must be 1-d arrays of equal length$"
+        with pytest.raises(DomainError, match=message):
+            AtomicDistribution(xs, ws)
+
+    @pytest.mark.parametrize(
+        "xs, ws", [([math.inf], [1.0]), ([0.0, math.nan], [0.5, 0.5]), ([0.0], [math.inf])],
+        ids=["inf-x", "nan-x", "inf-w"],
+    )
+    def test_rejects_non_finite(self, xs, ws):
+        with pytest.raises(DomainError, match="^positions and masses must be finite$"):
+            AtomicDistribution(xs, ws)
+
+    def test_eq_and_repr(self, two_point):
+        assert two_point.__eq__(two_point.atoms) is NotImplemented
+        assert two_point != two_point.atoms
+        assert two_point == AtomicDistribution([1.0, -1.0], [0.5, 0.5])
+        assert repr(two_point) == "AtomicDistribution([(-1.0, 0.5), (1.0, 0.5)])"
+
 
 class TestMoments:
     def test_mean_point_mass(self):

@@ -70,6 +70,10 @@ class TestSample:
         draws = sample(d, 20000, trial_stream(0, 1))
         assert float(draws.mean()) == pytest.approx(0.1, abs=0.01)
 
+    def test_rejects_zero_count(self, two_point):
+        with pytest.raises(DomainError, match=r"^sample count must be >= 1, got 0$"):
+            sample(two_point, 0, trial_stream(0, 0))
+
 
 def _state(stream: np.random.Generator) -> dict:
     """The bit generator's state with its arrays as lists, for ``==``."""
@@ -129,6 +133,15 @@ class TestTrialStream:
         assert _state(trial_stream(np.uint64(7), np.int64(1030))) == _state(
             trial_stream_reference(7, 1030)
         )
+
+    @pytest.mark.parametrize("seed, t", [(0, 0), (7, 1030), (2**70, 2**40)])
+    def test_spawn_matches_seed_sequence(self, seed, t):
+        stream, reference = trial_stream(seed, t), np.random.SeedSequence([seed, t])
+        for k in (2, 3):  # the second call continues the sequence
+            children = [_state(c) for c in stream.spawn(k)]
+            assert children == [
+                _state(np.random.Generator(np.random.Philox(s))) for s in reference.spawn(k)
+            ]
 
 
 def _edge_uniforms(table) -> np.ndarray:
@@ -646,9 +659,7 @@ class TestCountedLrStatistic:
         n = harness._CHUNK // rows + 12_345
         blocked = [trial_stream(5, t) for t in range(rows)]
         whole = [trial_stream(5, t) for t in range(rows)]
-        wrong = harness._lr_errs(
-            d, harness._limbs(table), n, False, np.empty(harness._CHUNK), blocked
-        )
+        wrong = harness._lr_errs(d, harness._limbs(table), n, False, blocked)
         for got, b, w in zip(wrong, blocked, whole):
             expected = math.fsum(table[d._inverse_cdf(w.random(n))].tolist())
             assert expected != 0.0  # no coin drawn
