@@ -42,6 +42,7 @@ import numpy as np
 from .distribution import (
     AtomicDistribution,
     CoreStats,
+    _log_inv,
     align,
     check_budget,
     core_stats,
@@ -65,7 +66,7 @@ def regime_flags(n: float, delta: float) -> dict:
     check_budget(n, delta)
     return {
         "delta_ok": delta <= REGIME_DELTA_MAX,
-        "ratio_ok": math.log(1.0 / delta) / n <= REGIME_RATIO_MAX,
+        "ratio_ok": _log_inv(delta) / n <= REGIME_RATIO_MAX,
     }
 
 
@@ -186,7 +187,7 @@ def construct_q(p: AtomicDistribution, n: float, delta: float) -> AdversaryResul
         q = mixture(p, stats.core, lam)
     else:
         case = "small_mean_shift"
-        root = math.sqrt(math.log(1.0 / delta) / n)
+        root = math.sqrt(_log_inv(delta) / n)
         target = MEAN_SHIFT_TARGET_COEFF * stats.sigma_star * root
         # Positions stay p's own, bitwise, as the support-sensitive ratio and
         # Hellinger checks require; only the masses are reweighted.

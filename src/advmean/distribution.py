@@ -58,18 +58,11 @@ def _prepare_atoms(xs, ws) -> tuple[np.ndarray, np.ndarray, float]:
     if np.any(ws <= 0.0):
         raise DomainError("masses must be strictly positive")
     order = np.argsort(xs, kind="stable")
-    xs = xs[order]
-    ws = ws[order]
-    if xs.size > 1:
-        keep = np.empty(xs.size, dtype=bool)
-        keep[0] = True
-        np.not_equal(xs[1:], xs[:-1], out=keep[1:])
-        if not keep.all():
-            idx = np.cumsum(keep) - 1
-            merged = np.zeros(int(idx[-1]) + 1)
-            np.add.at(merged, idx, ws)
-            xs = xs[keep]
-            ws = merged
+    xs, ws = xs[order], ws[order]
+    keep = np.ones(xs.size, dtype=bool)
+    keep[1:] = xs[1:] != xs[:-1]
+    if not keep.all():  # bincount adds each position's masses in input order
+        xs, ws = xs[keep], np.bincount(keep.cumsum() - 1, weights=ws)
     xs.flags.writeable = False
     ws.flags.writeable = False
     try:
@@ -244,6 +237,11 @@ def check_budget(n: float, delta: float) -> None:
     check_delta(delta)
 
 
+def _log_inv(delta: float) -> float:
+    """``log(1/delta)``, or ``-log(delta)`` where ``1/delta`` overflows."""
+    return math.log(1.0 / delta) if 1.0 / delta < math.inf else -math.log(delta)
+
+
 def standard_trim(d: AtomicDistribution, n: float, delta: float) -> TrimResult:
     """Trim the standard mass ``TRIM_COEFF * log(1/delta) / n`` for the given
     sample budget.
@@ -252,7 +250,7 @@ def standard_trim(d: AtomicDistribution, n: float, delta: float) -> TrimResult:
     bound is evaluated at a scaled-down sample count.
     """
     check_budget(n, delta)
-    t = TRIM_COEFF * math.log(1.0 / delta) / n
+    t = TRIM_COEFF * _log_inv(delta) / n
     if t >= 1.0:
         raise DomainError(
             f"trimmed mass {t!r} >= 1 (n={n!r}, delta={delta!r} is too aggressive)"
@@ -292,7 +290,7 @@ def core_stats(d: AtomicDistribution, n: float, delta: float) -> CoreStats:
     core = standard_trim(d, n, delta).trimmed
     sigma_star = math.sqrt(core.variance)
     gap = abs(d.mean - core.mean)
-    rate = math.sqrt(ERROR_COEFF * math.log(1.0 / delta) / n)
+    rate = math.sqrt(ERROR_COEFF * _log_inv(delta) / n)
     threshold = sigma_star * rate
     return CoreStats(core, sigma_star, gap, rate, threshold, gap + threshold)
 
@@ -346,13 +344,9 @@ def mixture(
 # ---------------------------------------------------------------------------
 
 
-def _malformed(payload) -> str | None:
-    """What is wrong with a payload that converted to no atoms or failed to,
-    found in the order :func:`distribution_from_dict` converts it: ``atoms``,
-    every ``x``, then every ``w``; ``None`` for a well-formed payload."""
-    entries = payload.get("atoms") if isinstance(payload, dict) else None
-    if not isinstance(entries, list):
-        return f'expected an object with an "atoms" list, got {reprlib.repr(payload)}'
+def _malformed(entries: list) -> str:
+    """What is wrong with an ``atoms`` list that failed to convert, in the
+    order :func:`distribution_from_dict` converts it: every ``x``, every ``w``."""
     for key in ("x", "w"):
         for i, entry in enumerate(entries):
             if not isinstance(entry, dict) or key not in entry:
@@ -375,15 +369,18 @@ def _numbers(values: list) -> list[float]:
 
 
 def distribution_from_dict(payload: dict) -> AtomicDistribution:
+    entries = payload.get("atoms") if isinstance(payload, dict) else None
+    if not isinstance(entries, list):
+        raise DomainError(f'expected an object with an "atoms" list, got '
+                          f'{reprlib.repr(payload)}')
+    if not entries:
+        raise DomainError("distribution file holds no atoms")
     try:
-        entries = payload["atoms"]
         xs = _numbers([entry["x"] for entry in entries])
         ws = _numbers([entry["w"] for entry in entries])
     except (KeyError, TypeError, OverflowError):
         # diagnosed only after a failure, so the conversion loop stays lean
-        raise DomainError(_malformed(payload)) from None
-    if not xs:
-        raise DomainError(_malformed(payload) or "distribution file holds no atoms")
+        raise DomainError(_malformed(entries)) from None
     xs_arr, ws_arr, total = _prepare_atoms(xs, ws)
     if abs(total - 1.0) > LOAD_MASS_TOL:
         raise DomainError(

@@ -15,9 +15,8 @@ from .distribution import AtomicDistribution, align
 
 
 def hellinger_sq(p: AtomicDistribution, q: AtomicDistribution) -> float:
-    """``0.5 * sum((sqrt(p_i) - sqrt(q_i))^2)`` over the union support."""
+    """``0.5 * sum((sqrt(p_i) - sqrt(q_i))^2)`` over the union support: each
+    square is one correctly rounded multiply, and ``fsum`` adds them."""
     _, wp, wq = align(p, q)
-    # Python's ``**`` (libm pow) rather than numpy's square, which rounds
-    # differently on some inputs; reports are pinned bitwise.
-    diffs = (np.sqrt(wp) - np.sqrt(wq)).tolist()
-    return 0.5 * math.fsum([d ** 2 for d in diffs])
+    diffs = np.sqrt(wp) - np.sqrt(wq)
+    return 0.5 * math.fsum((diffs * diffs).tolist())

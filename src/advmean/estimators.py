@@ -25,7 +25,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .distribution import check_delta
+from .distribution import _log_inv, check_delta
 from .errors import DomainError
 
 GROUP_COUNT_COEFF = 4.5
@@ -33,7 +33,7 @@ GROUP_COUNT_COEFF = 4.5
 
 def group_count(delta: float) -> int:
     check_delta(delta)
-    return max(1, math.ceil(GROUP_COUNT_COEFF * math.log(1.0 / delta)))
+    return max(1, math.ceil(GROUP_COUNT_COEFF * _log_inv(delta)))
 
 
 def _groups(n: int, delta: float | None) -> int:

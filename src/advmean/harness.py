@@ -48,6 +48,7 @@ import numpy as np
 from .adversary import _partner_stats, construct_q, pair_diagnostics, regime_flags
 from .distribution import (
     AtomicDistribution,
+    _log_inv,
     align,
     check_budget,
     core_stats,
@@ -435,7 +436,7 @@ def asymptotic_scan(
                 "n": n,
                 "delta": delta,
                 "epsilon": eps,
-                "normalized": eps * math.sqrt(n / math.log(1.0 / delta)),
+                "normalized": eps * math.sqrt(n / _log_inv(delta)),
             }
         )
     return rows

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -384,6 +385,9 @@ SAME = "<the --in file>"  # stands for the fixture path in an argument list
         (["scan", "--delta", "0.05", "--n-list", "1,x"],
          "bad --n-list: invalid literal for int() with base 10: 'x'"),
         (["scan", "--delta", "0.05", "--n-list", ","], "--n-list is empty"),
+        # 1/delta overflows, log(1/delta) does not: 0.45 * 744.44 / 5, not inf
+        (["scan", "--delta", "5e-324", "--n-list", "5"],
+         "trimmed mass 66.99960647292431 >= 1"),
         (["verify", "--n", HUGE, "--delta", "0.05"], f"got {HUGE}"),
         (["construct", "--n", HUGE, "--delta", "0.05"], f"got {HUGE}"),
         (["distinguish", "--pair", SAME, "--n", HUGE, "--delta", "0.05", "--trials", "2"],
@@ -393,7 +397,7 @@ SAME = "<the --in file>"  # stands for the fixture path in an argument list
          f"got {MANY}"),
     ],
     ids=["scan-delta-zero", "scan-delta-negative", "scan-huge-n", "scan-n-list-not-int",
-         "scan-n-list-empty", "verify-huge-n", "construct-huge-n", "distinguish-huge-n",
+         "scan-n-list-empty", "scan-subnormal-delta", "verify-huge-n", "construct-huge-n", "distinguish-huge-n",
          "bench-mom-huge-trials", "distinguish-huge-trials"],
 )
 def test_bad_numbers_exit_two(argv, named, two_point_file, capsys):
@@ -401,6 +405,23 @@ def test_bad_numbers_exit_two(argv, named, two_point_file, capsys):
     assert run(argv[0], "--in", two_point_file, *rest) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize(
+    "argv, bound",
+    [(["bench-mom", "--n", "3350", "--trials", "2"], lambda r: r["bound"]),
+     (["construct", "--n", "1000", "--override-regime"],
+      lambda r: r["meta"]["diagnostics"]["epsilon_p"])],
+    ids=["bench-mom", "construct"],
+)
+def test_subnormal_delta_runs(argv, bound, two_point_file, tmp_path):
+    # At delta = 5e-324, 1/delta overflows but log(1/delta) = 744.44 does not:
+    # bench-mom takes ceil(4.5 * 744.44) = 3350 groups, and construct trims
+    # 0.45 * 744.44 / 1000 = 0.335 of the mass.
+    out = tmp_path / "out.json"
+    assert run(argv[0], "--in", two_point_file, *argv[1:], "--delta", "5e-324",
+               "--out", str(out)) == 0
+    assert math.isfinite(bound(json.loads(out.read_text())))
 
 
 OVERFLOWING = {

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from advmean import (
@@ -21,6 +21,7 @@ from advmean import (
 )
 from advmean import distribution
 from advmean.distribution import (
+    _log_inv,
     _prepare_atoms,
     core_stats,
     distribution_from_dict,
@@ -57,6 +58,18 @@ class TestConstruction:
     def test_sorts_and_merges_duplicates(self):
         d = AtomicDistribution([1.0, -1.0, 1.0], [0.25, 0.5, 0.25])
         assert d.atoms == [(-1.0, 0.5), (1.0, 0.5)]
+        # A position's masses add in input order: 2^-54 + 2^-54 is exact, then
+        # + 0.5 lands on the next float; 0.5 first would absorb each 2^-54.
+        tiny = 2.0**-54
+        d = AtomicDistribution([0.0, 0.0, 0.0, 1.0], [tiny, tiny, 0.5, 0.5 - 2 * tiny])
+        assert d.ws[0] == 0.5000000000000001
+        d = AtomicDistribution([0.0, 0.0, 0.0, 1.0], [0.5, tiny, tiny, 0.5 - 2 * tiny])
+        assert d.ws[0] == 0.5
+        # 0.0 == -0.0: the merged atom keeps the first one's sign.
+        for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+            d = AtomicDistribution([first, second, 1.0], [0.25, 0.25, 0.5])
+            assert d.num_atoms == 2
+            assert math.copysign(1.0, d.xs[0]) == math.copysign(1.0, first)
 
     def test_rejects_bad_mass_sum(self):
         with pytest.raises(DomainError):
@@ -291,6 +304,20 @@ class TestStandardTrim:
     def test_too_aggressive(self, two_point):
         with pytest.raises(DomainError):
             standard_trim(two_point, 1, 1e-6)
+
+    @given(st.floats(min_value=2.0**-1022, max_value=1.0, exclude_max=True))
+    @example(0.05)
+    @example(0.01)
+    @example(0.001)
+    @example(0.3)
+    def test_log_inv_bitwise_on_normal_delta(self, delta):
+        assert _log_inv(delta) == math.log(1.0 / delta)
+
+    def test_log_inv_subnormal_delta(self, two_point):
+        # 1/delta overflows to inf below about 5.6e-309; log(1/delta) does not.
+        assert _log_inv(5e-324) == -math.log(5e-324)
+        res = standard_trim(two_point, 1000, 5e-324)
+        assert res.trimmed_mass == pytest.approx(0.45 * 1074 * math.log(2.0) / 1000)
 
     @given(symmetric_distributions())
     @settings(max_examples=150)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,7 +35,8 @@ def merged_masses(p, q):
 @settings(max_examples=200)
 def test_aligned_paths_match_merge_reference(p, q):
     pairs = list(merged_masses(p, q))
-    h_ref = 0.5 * math.fsum((math.sqrt(a) - math.sqrt(b)) ** 2 for a, b in pairs)
+    diffs = [math.sqrt(a) - math.sqrt(b) for a, b in pairs]
+    h_ref = 0.5 * math.fsum(d * d for d in diffs)
     bc_ref = math.fsum(math.sqrt(a * b) for a, b in pairs if a and b)
     assert hellinger_sq(p, q) == h_ref
     assert bhattacharyya(p, q) == bc_ref
@@ -47,6 +49,15 @@ def test_aligned_paths_match_merge_reference(p, q):
 class TestHellinger:
     def test_identical(self, two_point):
         assert hellinger_sq(two_point, two_point) == 0.0
+
+    def test_squares_correctly_rounded(self):
+        # glibc's pow rounds the first difference's square away from the exact one.
+        p = AtomicDistribution([0.0, 1.0], [0.2009640299899489, 0.7990359700100511])
+        q = AtomicDistribution([0.0, 1.0], [0.0848112958859929, 0.9151887041140071])
+        diffs = [math.sqrt(a) - math.sqrt(b) for a, b in zip(p.ws.tolist(), q.ws.tolist())]
+        exact = 0.5 * math.fsum(float(Fraction(d) ** 2) for d in diffs)
+        assert exact == 0.014304753569994878
+        assert hellinger_sq(p, q) == exact
 
     def test_disjoint_point_masses(self):
         p = AtomicDistribution([0.0], [1.0])
