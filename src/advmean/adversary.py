@@ -42,6 +42,7 @@ import numpy as np
 from .distribution import (
     AtomicDistribution,
     CoreStats,
+    _fsums,
     _log_inv,
     align,
     check_budget,
@@ -97,7 +98,7 @@ def _clamped_shift(dev: np.ndarray, ws: np.ndarray, a: float) -> float:
     is unclamped; 0 in the limit ``a -> 0``.
     """
     clamped = np.clip(a * dev, -1.0, 1.0)
-    return math.fsum((ws * dev * clamped).tolist())
+    return _fsums(ws * dev * clamped)[0]
 
 
 def _bisect_skew(
@@ -195,7 +196,7 @@ def construct_q(p: AtomicDistribution, n: float, delta: float) -> AdversaryResul
         a, saturated = _bisect_skew(dev, p.ws, p.variance, target, root / stats.sigma_star)
         clamp = np.clip(a * dev, -1.0, 1.0)
         plus, minus = p.ws * (1.0 + clamp), p.ws * (1.0 - clamp)
-        mass_plus, mass_minus = math.fsum(plus.tolist()), math.fsum(minus.tolist())
+        mass_plus, mass_minus = _fsums(plus)[0], _fsums(minus)[0]
         if mass_plus >= mass_minus:
             sign, ws, mass = "plus", plus, mass_plus
         else:

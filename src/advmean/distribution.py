@@ -10,9 +10,10 @@ mixing, and the JSON file format used by the CLI.
 
 Numerical conventions
 ---------------------
-- Sums of atom contributions (means, variances, kept mass) use ``math.fsum``,
-  which rounds the exact sum once.  A symmetric distribution therefore has
-  mean exactly ``0.0`` and trims symmetrically.
+- Every sum over atoms (masses, moments, the skew's shift and totals,
+  Hellinger distance) and every group sum of the estimators is ``fsum``'s
+  value (``_fsums``), which rounds the exact sum once.  A symmetric
+  distribution therefore has mean exactly ``0.0`` and trims symmetrically.
 - Positions equal under ``==`` are merged at construction; no fuzzy matching
   is ever applied.
 - Mass bookkeeping tolerance is 1e-12 absolute; the file loader accepts a
@@ -30,6 +31,7 @@ import math
 import reprlib
 import sys
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -42,6 +44,50 @@ LOAD_MASS_TOL = 1e-9
 # the error bound is sigma * sqrt(ERROR_COEFF * log(1/delta) / n).
 TRIM_COEFF = 0.45
 ERROR_COEFF = 4.5
+
+# Below this many terms one fsum over a list costs less than extraction rounds.
+EXTRACT_MIN_TERMS = 512
+
+
+def _fsums(values: np.ndarray, sizes=None, finish=math.fsum) -> list[float]:
+    """``finish`` over each run of ``sizes`` terms of the float64 array
+    ``values`` (one run by default): ``math.fsum``'s value bit for bit, and its
+    exceptions, calling ``finish`` only where needed.
+
+    Error-free extraction (Rump, Ogita & Oishi 2008): with sigma = 2^(e+m),
+    max|x| < 2^e and 2^m >= largest group + 2, a round's q = (x + sigma) -
+    sigma, x - q and group sums of q (below sigma) are exact.  Rounds run,
+    sigma scaled by 2^(m-53), until no residual is left; ``finish`` rounds
+    more than two round totals, or any residual left at the subnormal end.
+    Below EXTRACT_MIN_TERMS terms, with a non-finite term, or when sigma would
+    pass 2^1023 (the sum may overflow) or fall below 2^-1021, ``finish`` gets
+    the groups whole."""
+    if sizes is None:
+        if values.size < EXTRACT_MIN_TERMS:
+            return [finish(values.tolist())]
+        sizes = [values.size]
+    starts = np.array([0, *accumulate(sizes[:-1])])
+    m = (max(sizes) + 1).bit_length()
+    q = np.abs(values)  # then each round's extracted terms, in place
+    top = float(q.max()) if values.size >= EXTRACT_MIN_TERMS else math.inf
+    sigma = math.ldexp(1.0, math.frexp(top)[1] + m) if top < 2.0 ** (1023 - m) else 0.0
+    parts, values = [], values.copy()  # the residual, in place
+    while sigma >= 2.0**-1021:  # sigma / 2 stays normal
+        np.add(values, sigma, out=q)
+        q -= sigma
+        values -= q
+        parts.append(np.add.reduceat(q, starts))
+        if not values.any():
+            if len(parts) <= 2:  # one addition rounds an exact float pair
+                return sum(parts).tolist()
+            return [finish(total) for total in np.column_stack(parts).tolist()]
+        sigma = math.ldexp(sigma, m - 53)
+    groups = [values[a : a + size] for a, size in zip(starts, sizes)]
+    if not parts:
+        return [finish(group.tolist()) for group in groups]
+    totals = np.column_stack(parts).tolist()
+    return [finish(total + group[group != 0].tolist())
+            for total, group in zip(totals, groups)]
 
 
 def _prepare_atoms(xs, ws) -> tuple[np.ndarray, np.ndarray, float]:
@@ -66,7 +112,7 @@ def _prepare_atoms(xs, ws) -> tuple[np.ndarray, np.ndarray, float]:
     xs.flags.writeable = False
     ws.flags.writeable = False
     try:
-        total = math.fsum(ws.tolist())
+        total = _fsums(ws)[0]
     except OverflowError:
         raise DomainError(
             f"masses sum past float64 range (largest mass {float(ws.max())!r})"
@@ -79,7 +125,7 @@ def _quiet_fsum(terms) -> float:
     in the sum, gives ``inf`` without a warning."""
     with np.errstate(over="ignore"):
         try:
-            return math.fsum(terms().tolist())
+            return _fsums(terms())[0]
         except OverflowError:
             return math.inf
 
@@ -208,8 +254,8 @@ def trim(d: AtomicDistribution, t: float) -> TrimResult:
 
     inside = dist < radius
     boundary = dist == radius
-    mass_inside = math.fsum(d.ws[inside].tolist())
-    mass_boundary = math.fsum(d.ws[boundary].tolist())
+    mass_inside = _fsums(d.ws[inside])[0]
+    mass_boundary = _fsums(d.ws[boundary])[0]
     frac = (target - mass_inside) / mass_boundary
     frac = min(max(frac, 0.0), 1.0)
 

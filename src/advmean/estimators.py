@@ -6,14 +6,13 @@ are read as float64 and never modified.
 Both estimators follow one group rule.  Samples are split in input order
 into contiguous groups of near-equal size, the first ``n mod k`` of the ``k``
 groups taking one extra sample, and each group mean is its correctly-rounded
-sum (the value ``fsum`` gives) over its size: up to two rounds of error-free
-extraction (Rump, Ogita & Oishi 2008) split off parts with exact group totals,
-and ``fsum`` adds the rest when some is left.  The median of means takes
-``k = ceil(4.5 * log(1/delta))`` groups (never below 1) and returns the middle
-mean, or the midpoint of the two central means for even ``k``; the sample
-mean is the one-group case.  Fewer samples than groups (``_groups``) or a
-group sum past float64 range is a :class:`~advmean.errors.DomainError`; a
-group holding both infinities, like one holding a NaN, has the mean NaN.
+sum (the value ``fsum`` gives) over its size, all groups at once by
+``distribution._fsums``' error-free extraction.  The median of means takes
+``k = ceil(4.5 * log(1/delta))`` groups (never below 1) and returns the
+middle mean, or the midpoint of the two central means for even ``k``; the
+sample mean is the one-group case.  Fewer samples than groups (``_groups``)
+or a group sum past float64 range is a :class:`~advmean.errors.DomainError`;
+a group holding both infinities, like one holding a NaN, has the mean NaN.
 Output is deterministic and unchanged by permuting samples within a group;
 permutations across group boundaries can change it.
 """
@@ -21,11 +20,10 @@ permutations across group boundaries can change it.
 from __future__ import annotations
 
 import math
-from itertools import accumulate
 
 import numpy as np
 
-from .distribution import _log_inv, check_delta
+from .distribution import _fsums, _log_inv, check_delta
 from .errors import DomainError
 
 GROUP_COUNT_COEFF = 4.5
@@ -55,26 +53,11 @@ def _group_means(samples, delta: float | None) -> list[float]:
     k = _groups(values.size, delta)
     base, extra = divmod(values.size, k)
     sizes = [base + 1] * extra + [base] * (k - extra)
-    starts = list(accumulate(sizes[:-1], initial=0))
-    # With sigma = 2^(e+m), max|x| < 2^e and 2^m >= largest group + 2, a round's
-    # q = (x + sigma) - sigma, x - q and group sums of q (below sigma) are exact.
-    m = (sizes[0] + 1).bit_length()
-    parts = []
-    top = float(np.abs(values).max())  # a round needs top < 2^(1023 - m)
-    sigma = math.ldexp(1.0, math.frexp(top)[1] + m) if top < 2.0 ** (1023 - m) else 0.0
-    while len(parts) < 2 and sigma >= 2.0**-1021:  # sigma / 2 stays normal
-        q = (values + sigma) - sigma
-        values = values - q
-        parts.append(np.add.reduceat(q, starts))
-        if not values.any():  # one addition rounds an exact float pair
-            return [s / size for s, size in zip(sum(parts).tolist(), sizes)]
-        sigma = math.ldexp(sigma, m - 53)
-    rest, parts = values.tolist(), [p.tolist() for p in parts]
     try:
-        return [_fsum([p[g] for p in parts] + rest[start : start + size]) / size
-                for g, (start, size) in enumerate(zip(starts, sizes))]
+        sums = _fsums(values, sizes, _fsum)
     except OverflowError:
         raise DomainError("a group sum overflows float64; rescale the samples") from None
+    return [s / size for s, size in zip(sums, sizes)]
 
 
 def _fsum(terms: list[float]) -> float:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, find, given, settings
 import hypothesis.strategies as st
 
 from advmean import (
@@ -21,6 +21,8 @@ from advmean import (
 )
 from advmean import distribution
 from advmean.distribution import (
+    EXTRACT_MIN_TERMS,
+    _fsums,
     _log_inv,
     _prepare_atoms,
     core_stats,
@@ -503,3 +505,68 @@ class TestWriter:
         q = construct_q(p, 1000, 0.05)
         assert distribution_json(p) == distribution_json_reference(p)
         assert distribution_json(q.q, q.meta) == distribution_json_reference(q.q, q.meta)
+
+
+@st.composite
+def sum_terms(draw):
+    """A float64 array on either side of EXTRACT_MIN_TERMS: terms at binary
+    exponents over a span of up to the whole float range (subnormals and
+    values near 2^1023 among them), all positive, half of them cancelling
+    the other half, or with a few infinities, NaNs or largest floats mixed in."""
+    n = draw(st.sampled_from([511, 512, 513, 1400, 10_001]) | st.integers(0, 1100))
+    lo = draw(st.sampled_from([-1074, -1040]) | st.integers(-1074, 1023))
+    hi = draw(st.integers(lo, min(lo + draw(st.sampled_from([0, 60, 200, 2100])), 1023)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.uniform(-1.0, 1.0, n) * 2.0 ** rng.integers(lo, hi + 1, n)
+    shape = draw(st.sampled_from(["signed", "positive", "cancelling"]))
+    if shape == "positive":
+        values = np.abs(values)
+    elif shape == "cancelling":
+        values[n // 2 : 2 * (n // 2)] = -rng.permutation(values[: n // 2])
+    specials = [math.inf, -math.inf, math.nan, sys.float_info.max, -sys.float_info.max]
+    for special in draw(st.lists(st.sampled_from(specials), max_size=3 if n else 0)):
+        values[rng.integers(n)] = special
+    return values
+
+
+def _sum_outcome(fsum, values):
+    """``fsum(values)``'s ``hex`` (sign of zero and NaN included), or its error."""
+    try:
+        return fsum(values).hex()
+    except (OverflowError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _fsum_list(values):
+    return math.fsum(values.tolist())
+
+
+def _two_rounds_unfinished(values):
+    """A broken ``_fsums(values)[0]``: two extraction rounds and no finish."""
+    m = (values.size + 1).bit_length()
+    top = float(np.abs(values).max()) if values.size >= EXTRACT_MIN_TERMS else math.inf
+    if not top < 2.0 ** (1023 - m):
+        return _fsum_list(values)
+    sigma, total = math.ldexp(1.0, math.frexp(top)[1] + m), 0.0
+    for _ in range(2):
+        q = (values + sigma) - sigma
+        values = values - q
+        total += float(q.sum())
+        sigma = math.ldexp(sigma, m - 53)
+    return total
+
+
+class TestExactSums:
+    """``_fsums`` is ``math.fsum`` bit for bit, exceptions included."""
+
+    @given(sum_terms())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fsum(self, values):
+        assert _sum_outcome(lambda v: _fsums(v)[0], values) == _sum_outcome(_fsum_list, values)
+
+    def test_property_rejects_two_unfinished_rounds(self):
+        find(
+            sum_terms(),
+            lambda v: _sum_outcome(_two_rounds_unfinished, v) != _sum_outcome(_fsum_list, v),
+            settings=settings(max_examples=300, database=None),
+        )

@@ -180,7 +180,7 @@ class TestExactGroupSums:
     # Extraction must give fsum's group means bit for bit, and its refusals.
     @given(
         kind=st.sampled_from(BATCH_KINDS),
-        n=st.sampled_from([14, 15, 1400, 1401]) | st.integers(1, 40),
+        n=st.sampled_from([14, 15, 511, 512, 1400, 1401, 4000]) | st.integers(1, 40),
         delta=st.sampled_from([0.05, 0.01, 0.5, None]),
         seed=st.integers(0, 2**32 - 1),
     )
@@ -206,6 +206,12 @@ class TestExactGroupSums:
             assert _outcome(_group_means, samples, delta) == _outcome(
                 group_means_reference, samples, delta
             )
+
+    def test_leaves_samples_unchanged(self):
+        samples = np.linspace(-1.0, 3.0, 2000) ** 3  # extraction runs two rounds
+        before = samples.copy()
+        median_of_means(samples, 0.05)
+        assert samples.tobytes() == before.tobytes()
 
 
 class TestSampleMean:

@@ -4,8 +4,11 @@ For each verifier and input distribution, the digest is the SHA-256 of the
 reports over the 9-cell grid plus ``(100, 0.3)``, each serialized as
 ``json.dumps(report, sort_keys=True, indent=2)``.  ``verify_pair`` is run
 against the constructed partner (``p`` itself when there is none) and
-against ``two_point_symmetric``.  Regenerate the expected file after a
-deliberate change to a report with
+against ``two_point_symmetric``.  ``verify_theorem`` and
+``verify_neighborhood`` are also pinned on the loaded 10^4-atom
+``conftest.wide_member``, whose sums over atoms take the extraction path
+that corpus members (at most 201 atoms) skip.  Regenerate the expected file
+after a deliberate change to a report with
 
     PYTHONPATH=src:tests python -c "import json, test_golden_reports as t; \
 print(json.dumps(t.digests(), indent=2, sort_keys=True))" \
@@ -33,6 +36,7 @@ from pathlib import Path
 
 from advmean import AtomicDistribution, DegenerateError, construct_q, corpus
 from advmean.cli import main
+from advmean.distribution import distribution_from_dict
 from advmean.harness import (
     TrialConfig,
     bench_mom,
@@ -64,6 +68,13 @@ def _partner(p, n, delta):
         return p
 
 
+def _digest(verify, p) -> str:
+    h = hashlib.sha256()
+    for n, delta in CELLS:
+        h.update(json.dumps(verify(p, n, delta), sort_keys=True, indent=2).encode())
+    return h.hexdigest()
+
+
 def digests() -> dict:
     coin = corpus.build("two_point_symmetric")
     verifiers = {
@@ -72,14 +83,11 @@ def digests() -> dict:
         "pair_partner": lambda p, n, d: verify_pair(p, _partner(p, n, d), n, d),
         "pair_coin": lambda p, n, d: verify_pair(p, coin, n, d),
     }
-    out = {}
-    for member, p in _members().items():
-        for label, verify in verifiers.items():
-            h = hashlib.sha256()
-            for n, delta in CELLS:
-                report = verify(p, n, delta)
-                h.update(json.dumps(report, sort_keys=True, indent=2).encode())
-            out[f"{label}/{member}"] = h.hexdigest()
+    out = {f"{label}/{member}": _digest(verify, p)
+           for member, p in _members().items() for label, verify in verifiers.items()}
+    wide = distribution_from_dict(wide_member())
+    out["theorem/wide"] = _digest(verify_theorem, wide)
+    out["neighborhood/wide"] = _digest(verify_neighborhood, wide)
     return out
 
 
