@@ -60,6 +60,26 @@ def symmetric_distributions(draw, max_half_atoms=5, span=50):
     return AtomicDistribution(xs, ws)
 
 
+@st.composite
+def segment_distributions(draw):
+    """A core from ``symmetric_distributions`` (an atom at the mean and tied
+    ``|d|`` among them) or ``atomic_distributions``, plus far outliers of tiny
+    mass (a pair at the core's mean -+ R, or one atom on either side), all
+    scaled by 2^k.  At n = 1000, delta = 0.05 trimming removes the outliers,
+    while the skew target, about 0.0068 sigma, needs a slope that clamps them:
+    R is 400 to 20000 sigma and each outlier's mass at most a fifth of
+    0.0068 / (R / sigma), so most examples take the skew solve's segment path."""
+    core = draw(symmetric_distributions() | atomic_distributions(min_atoms=2))
+    reach = draw(st.floats(400.0, 20_000.0))
+    mass = draw(st.floats(1e-3, 0.2)) * 0.0068 / reach
+    sides = draw(st.sampled_from([(-1.0, 1.0), (1.0,), (-1.0,)]))
+    spread = reach * math.sqrt(core.variance)
+    xs = core.xs.tolist() + [core.mean + side * spread for side in sides]
+    ws = (core.ws * (1.0 - len(sides) * mass)).tolist() + [mass] * len(sides)
+    scale = 2.0 ** draw(st.integers(-400, 400))
+    return AtomicDistribution([x * scale for x in xs], ws)
+
+
 FLOAT_MAX = sys.float_info.max
 EDGE_FLOATS = [5e-324, 2.2250738585072014e-308, 1e-300, 1.0, 1e300,
                math.nextafter(FLOAT_MAX, 0.0), FLOAT_MAX]

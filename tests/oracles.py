@@ -109,6 +109,53 @@ def skew_partner(p: AtomicDistribution, a: float):
     return q, 1.0 / total, sign
 
 
+def mean_shift(d: AtomicDistribution, a: float) -> float:
+    """First-moment shift ``sum_i w_i d_i clamp(a d_i, -1, 1)`` of the skew
+    weight at slope ``a``, on deviations ``d_i = x_i - mu`` from ``d``'s mean,
+    one ``fsum`` over the float terms."""
+    dev = d.xs - d.mean
+    return math.fsum((d.ws * dev * np.clip(a * dev, -1.0, 1.0)).tolist())
+
+
+def _skew_atoms(dev, ws) -> list[tuple[Fraction, Fraction]]:
+    """``(|d|, w)`` of the atoms off the mean, exactly, by increasing ``|d|``."""
+    atoms = zip(dev.tolist(), ws.tolist())
+    return sorted((abs(Fraction(d)), Fraction(w)) for d, w in atoms if d)
+
+
+def skew_line_root(dev, ws, target, k: int) -> Fraction:
+    """The exact slope at which the skew shift with the ``k`` atoms of least
+    ``|d|`` unclamped and the rest clamped, ``sum_clamped w |d| + a
+    sum_unclamped w d^2``, equals ``target``."""
+    atoms = _skew_atoms(dev, ws)
+    clamped = sum(w * s for s, w in atoms[k:])
+    free = sum(w * s * s for s, w in atoms[:k])
+    return (Fraction(target) - clamped) / free
+
+
+def skew_shift_exact(dev, ws, a) -> Fraction:
+    """The skew shift ``sum_i w_i |d_i| min(a |d_i|, 1)`` at slope ``a`` on
+    deviations ``dev``, in exact rationals."""
+    return sum(w * s * min(a * s, 1) for s, w in _skew_atoms(dev, ws))
+
+
+def skew_slope_exact(dev, ws, target) -> Fraction | None:
+    """The least slope ``a`` whose exact skew shift on deviations ``dev``
+    reaches ``target`` (a float or a ``Fraction``), or ``None`` when
+    ``sum_i w_i |d_i|`` falls short.  It lies on the segment below the first
+    break ``1/|d|``, in increasing ``a``, where the shift reaches ``target``;
+    there the atoms of ``|d|`` at most that break's are unclamped."""
+    atoms = _skew_atoms(dev, ws)
+    if sum(w * s for s, w in atoms) < target:
+        return None
+    # The last break, 1 / min |d|, clamps every atom and so reaches target.
+    k = next(
+        k for k in range(len(atoms), 0, -1)
+        if skew_shift_exact(dev, ws, 1 / atoms[k - 1][0]) >= target
+    )
+    return skew_line_root(dev, ws, target, k)
+
+
 def brute_force_trim(d: AtomicDistribution, t: float) -> TrimResult:
     """Reference trimming by exhaustive radius scan; small instances only.
 

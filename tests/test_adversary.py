@@ -1,10 +1,12 @@
 import copy
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, find, given, settings
+from hypothesis import strategies as st
 
 from advmean import (
     AtomicDistribution,
@@ -13,19 +15,53 @@ from advmean import (
     density_ratio,
     standard_trim,
 )
-from advmean import corpus
-from advmean.adversary import _bisect_skew, _clamped_shift
+from advmean import adversary, corpus
+from advmean.adversary import _skew_slope
 
-from conftest import atomic_distributions, symmetric_distributions
-from oracles import affine, skew_masses, skew_partner
+from conftest import atomic_distributions, segment_distributions, symmetric_distributions
+from oracles import (
+    affine,
+    mean_shift,
+    skew_line_root,
+    skew_masses,
+    skew_partner,
+    skew_shift_exact,
+    skew_slope_exact,
+)
 
 N, DELTA = 1000, 0.05
 LOG_TERM = math.log(20.0)
+ULP = 2.0**-53  # the unit roundoff
 
 
-def mean_shift(d, a):
-    """First-moment shift of the skew weight at slope ``a`` around ``d``'s mean."""
-    return _clamped_shift(d.xs - d.mean, d.ws, a)
+def shift_tolerance(d):
+    """Relative bound on ``mean_shift(d, a) - target`` at the solved slope.
+
+    Every term of the shift is nonnegative, so nothing cancels.  The slope is
+    within 6 roundings of the exact slope for a target within ``3 m + 13``
+    roundings (``_skew_slope``); the shift, concave through 0, moves by at
+    most the slope's relative error; its terms and their sum add 4."""
+    return (3 * d.num_atoms + 23) * ULP
+
+
+def skew_target(d):
+    """The skew's target at ``(N, DELTA)``, as :func:`construct_q` computes it."""
+    core = standard_trim(d, N, DELTA).trimmed
+    sigma_star = math.sqrt(core.variance)
+    return adversary.MEAN_SHIFT_TARGET_COEFF * sigma_star * math.sqrt(LOG_TERM / N)
+
+
+def slope_within_rounding(dev, ws, target, slope):
+    """Whether ``slope`` is within 6 roundings of the exact slopes for
+    ``target`` scaled by ``1 -+ (3 m + 13) 2^-53``, ``m`` the atoms off the
+    mean: the bound :func:`_skew_slope` derives."""
+    kappa = (3 * int(np.count_nonzero(dev)) + 13) * Fraction(ULP)
+    lo = skew_slope_exact(dev, ws, Fraction(target) * (1 - kappa))
+    hi = skew_slope_exact(dev, ws, Fraction(target) * (1 + kappa))
+    if math.isinf(slope):
+        return hi is None
+    six = 6 * Fraction(ULP)
+    return lo is not None and lo * (1 - six) <= slope and (hi is None or slope <= hi * (1 + six))
 
 
 class TestMeanShift:
@@ -60,9 +96,8 @@ class TestSolveSkew:
 
     def test_residual_identity(self, two_point):
         a = construct_q(two_point, N, DELTA).meta["a"]
-        core = standard_trim(two_point, N, DELTA).trimmed
-        target = (1 / 8) * math.sqrt(core.variance) * math.sqrt(LOG_TERM / N)
-        assert mean_shift(two_point, a) / target == pytest.approx(1.0, abs=1e-10)
+        target = skew_target(two_point)
+        assert mean_shift(two_point, a) == pytest.approx(target, rel=shift_tolerance(two_point))
 
     def test_rejects_dominant_mean_gap(self, asym_two_point):
         res = construct_q(asym_two_point, N, DELTA)
@@ -74,10 +109,29 @@ class TestSolveSkew:
         with pytest.raises(DegenerateError):
             construct_q(d, N, DELTA)
 
-    def test_saturated_bracket(self, two_point):
-        # The shift at the upper end a = 0.5 is 0.5, short of the target 2.
-        dev = two_point.xs - two_point.mean
-        assert _bisect_skew(dev, two_point.ws, two_point.variance, 2.0, 0.5) == (0.5, True)
+    def test_saturated_bracket(self, monkeypatch):
+        # At n = L / ratio each p's trimmed core is {-1, 1}, so sigma_star = 1,
+        # the cap a_hi is sqrt(ratio) and the target coeff * sqrt(ratio).
+        dyadic = AtomicDistribution([-4.0, -2.0, -1.0, 1.0, 2.0, 4.0],
+                                    [1 / 16, 1 / 8, 5 / 16, 5 / 16, 1 / 8, 1 / 16])
+        outliers = AtomicDistribution([-64.0, -1.0, 1.0, 64.0],
+                                      [1 / 2048, 1023 / 2048, 1023 / 2048, 1 / 2048])
+        cases = [
+            # The shift reaches only sum w |d| = 1, short of 2: the cap 0.5.
+            (AtomicDistribution([-1.0, 1.0], [0.5, 0.5]), 0.25, 4.0, math.inf, 0.5, True),
+            # Every atom clamped (k = 0) shifts 1.625, short of 2.
+            (dyadic, 1.0, 2.0, math.inf, 1.0, True),
+            # 1.3125 is the shift at the break a = 1/2, past which +-2 clamp.
+            (dyadic, 1.0, 1.3125, 0.5, 0.5, False),
+            # On (1/64, 1] the shift 1/16 + a 1023/1024 is 0.75 past the cap.
+            (outliers, 0.25, 1.5, 704 / 1023, 0.5, True),
+        ]
+        for p, ratio, coeff, slope, a, saturated in cases:
+            monkeypatch.setattr(adversary, "MEAN_SHIFT_TARGET_COEFF", coeff)
+            target = coeff * math.sqrt(ratio)
+            assert _skew_slope(p.xs - p.mean, p.ws, p.variance, target) == slope
+            meta = construct_q(p, LOG_TERM / ratio, DELTA).meta
+            assert (meta["a"], meta["saturated"]) == (a, saturated)
 
     @given(atomic_distributions(min_atoms=2))
     @settings(max_examples=100)
@@ -90,7 +144,66 @@ class TestSolveSkew:
         a = construct_q(d, N, DELTA).meta["a"]
         assert 0.0 < a <= math.sqrt(LOG_TERM / N) / sigma_star * (1 + 1e-12)
         target = (1 / 8) * sigma_star * math.sqrt(LOG_TERM / N)
-        assert mean_shift(d, a) == pytest.approx(target, rel=1e-9)
+        assert mean_shift(d, a) == pytest.approx(target, rel=shift_tolerance(d))
+
+    @given(segment_distributions(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_slope_within_rounding_of_exact(self, d, data):
+        """The solved slope against the exact one, at the construction's
+        target and at targets on a break (tied and zero ``|d|`` among them)."""
+        dev = d.xs - d.mean
+        target = skew_target(d)
+        slope = _skew_slope(dev, d.ws, d.variance, target)
+        meta = construct_q(d, N, DELTA).meta
+        assume(meta["case"] == "small_mean_shift")
+        assert (meta["a"], meta["saturated"]) == (slope, False)
+        assert slope_within_rounding(dev, d.ws, target, slope)
+        assert mean_shift(d, slope) == pytest.approx(target, rel=shift_tolerance(d))
+        size = data.draw(st.sampled_from(np.abs(dev[dev != 0.0]).tolist()))
+        at_break = float(skew_shift_exact(dev, d.ws, 1 / Fraction(size)))
+        target = math.nextafter(at_break, data.draw(st.sampled_from([0.0, at_break, math.inf])))
+        slope = _skew_slope(dev, d.ws, d.variance, target)
+        assert slope_within_rounding(dev, d.ws, target, slope)
+
+    def test_target_at_break_beside_atom_near_mean(self):
+        # The target is the float shift at the break a = 2/3, past which the
+        # atom at -1.5 clamps and only the atom 2^-28 from the mean is not, so
+        # the shift is all but flat there.  A count of breaks that rounded to
+        # one too few solved that flat line and returned a slope of 0.
+        dev = np.array([2.0**-28, 3.75, 1.75, -1.5])
+        ws = np.array([2, 12, 6, 13]) / 33
+        target = float.fromhex("0x1.22e8ba2e8ba2fp+1")
+        slope = _skew_slope(dev, ws, math.fsum((ws * dev * dev).tolist()), target)
+        assert slope_within_rounding(dev, ws, target, slope)
+
+    def test_segment_distributions_take_segment_path(self):
+        taken = []
+
+        @given(segment_distributions())
+        @settings(max_examples=200, database=None, deadline=None)
+        def record(d):  # target / variance clamps the farthest atom
+            far = np.abs(d.xs - d.mean).max()
+            taken.append(skew_target(d) / d.variance * far > 1.0)
+
+        record()
+        assert sum(taken) >= 0.9 * len(taken)
+
+    @pytest.mark.parametrize("step", [1, -1])
+    def test_rejects_neighbouring_segment(self, step):
+        """The exact slope check fails a solver whose only fault is to solve
+        the line with ``step`` more atoms unclamped than the exact slope has."""
+
+        def neighbour_fails(d):
+            dev, target = d.xs - d.mean, skew_target(d)
+            exact = skew_slope_exact(dev, d.ws, target)
+            k = sum(1 for x in dev.tolist() if x and exact * abs(Fraction(x)) <= 1) + step
+            if not 0 < k <= np.count_nonzero(dev):
+                return False
+            slope = float(skew_line_root(dev, d.ws, target, k))
+            return not slope_within_rounding(dev, d.ws, target, slope)
+
+        find(segment_distributions(), neighbour_fails,
+             settings=settings(max_examples=300, database=None))
 
 
 class TestConstructCase1:
@@ -214,7 +327,7 @@ def _case2_results(d):
 
 
 class TestStructuralProperties:
-    @given(atomic_distributions(min_atoms=2))
+    @given(atomic_distributions(min_atoms=2) | segment_distributions())
     @settings(max_examples=200)
     def test_construction_contracts(self, d):
         res = _case2_results(d)
@@ -286,7 +399,7 @@ class TestSkewStepMatchesPerAtomFormula:
                 skew_cells += 1
         assert skew_cells > 0  # every member takes the skew branch somewhere
 
-    @given(atomic_distributions(min_atoms=2))
+    @given(atomic_distributions(min_atoms=2) | segment_distributions())
     @settings(max_examples=200)
     def test_random_inputs(self, d):
         res = _case2_results(d)
