@@ -12,8 +12,9 @@ Numerical conventions
 ---------------------
 - Every sum over atoms (masses, moments, the skew's shift and totals,
   Hellinger distance) and every group sum of the estimators is ``fsum``'s
-  value (``_fsums``), which rounds the exact sum once.  A symmetric
-  distribution therefore has mean exactly ``0.0`` and trims symmetrically.
+  value (``_fsums``, NaN for both infinities), which rounds the exact sum
+  once.  A symmetric distribution therefore has mean exactly ``0.0`` and
+  trims symmetrically.
 - Positions equal under ``==`` are merged at construction; no fuzzy matching
   is ever applied.
 - Mass bookkeeping tolerance is 1e-12 absolute; the file loader accepts a
@@ -49,44 +50,48 @@ ERROR_COEFF = 4.5
 EXTRACT_MIN_TERMS = 512
 
 
-def _fsums(values: np.ndarray, sizes=None, finish=math.fsum) -> list[float]:
-    """``finish`` over each run of ``sizes`` terms of the float64 array
-    ``values`` (one run by default): ``math.fsum``'s value bit for bit, and its
-    exceptions, calling ``finish`` only where needed.
+def _fsum(terms: list[float]) -> float:
+    """``math.fsum``, but NaN for terms holding both infinities."""
+    try:
+        return math.fsum(terms)
+    except ValueError:  # -inf + inf
+        return math.nan
+
+
+def _fsums(values: np.ndarray, sizes=None) -> list[float]:
+    """``_fsum`` over each run of ``sizes`` terms of the float64 array
+    ``values`` (one run by default), bit for bit, OverflowError included.
 
     Error-free extraction (Rump, Ogita & Oishi 2008): with sigma = 2^(e+m),
     max|x| < 2^e and 2^m >= largest group + 2, a round's q = (x + sigma) -
-    sigma, x - q and group sums of q (below sigma) are exact.  Rounds run,
-    sigma scaled by 2^(m-53), until no residual is left; ``finish`` rounds
-    more than two round totals, or any residual left at the subnormal end.
-    Below EXTRACT_MIN_TERMS terms, with a non-finite term, or when sigma would
-    pass 2^1023 (the sum may overflow) or fall below 2^-1021, ``finish`` gets
-    the groups whole."""
+    sigma, x - q and group sums of q (below sigma) are exact.  Each round takes
+    e from the largest |residual|, so exponents no term holds cost no round,
+    and rounds stop when none is left, a term is not finite, or sigma would
+    leave [2^-1021, 2^1023].  One addition rounds up to two round totals with
+    no residual; else ``_fsum`` rounds each group's totals and nonzero residual
+    (the group itself if no round ran: below EXTRACT_MIN_TERMS terms, a
+    non-finite term, or a sum that may overflow)."""
     if sizes is None:
         if values.size < EXTRACT_MIN_TERMS:
-            return [finish(values.tolist())]
+            return [_fsum(values.tolist())]
         sizes = [values.size]
     starts = np.array([0, *accumulate(sizes[:-1])])
     m = (max(sizes) + 1).bit_length()
-    q = np.abs(values)  # then each round's extracted terms, in place
+    q = np.abs(values)  # each round's |residual|, then its extracted terms, in place
     top = float(q.max()) if values.size >= EXTRACT_MIN_TERMS else math.inf
-    sigma = math.ldexp(1.0, math.frexp(top)[1] + m) if top < 2.0 ** (1023 - m) else 0.0
     parts, values = [], values.copy()  # the residual, in place
-    while sigma >= 2.0**-1021:  # sigma / 2 stays normal
+    while 2.0 ** (-1022 - m) <= top < 2.0 ** (1023 - m):
+        sigma = math.ldexp(1.0, math.frexp(top)[1] + m)
         np.add(values, sigma, out=q)
         q -= sigma
         values -= q
         parts.append(np.add.reduceat(q, starts))
-        if not values.any():
-            if len(parts) <= 2:  # one addition rounds an exact float pair
-                return sum(parts).tolist()
-            return [finish(total) for total in np.column_stack(parts).tolist()]
-        sigma = math.ldexp(sigma, m - 53)
+        top = float(np.abs(values, out=q).max())
+    if top == 0.0 and len(parts) in (1, 2):  # one addition rounds an exact float pair
+        return sum(parts).tolist()
+    totals = np.reshape(parts, (-1, len(sizes))).T.tolist()
     groups = [values[a : a + size] for a, size in zip(starts, sizes)]
-    if not parts:
-        return [finish(group.tolist()) for group in groups]
-    totals = np.column_stack(parts).tolist()
-    return [finish(total + group[group != 0].tolist())
+    return [_fsum(total + group[group != 0].tolist())
             for total, group in zip(totals, groups)]
 
 

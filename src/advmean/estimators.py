@@ -6,13 +6,13 @@ are read as float64 and never modified.
 Both estimators follow one group rule.  Samples are split in input order
 into contiguous groups of near-equal size, the first ``n mod k`` of the ``k``
 groups taking one extra sample, and each group mean is its correctly-rounded
-sum (the value ``fsum`` gives) over its size, all groups at once by
-``distribution._fsums``' error-free extraction.  The median of means takes
+sum (the value ``fsum`` gives, or NaN for both infinities) over its size, all
+groups at once by ``distribution._fsums``.  The median of means takes
 ``k = ceil(4.5 * log(1/delta))`` groups (never below 1) and returns the
 middle mean, or the midpoint of the two central means for even ``k``; the
 sample mean is the one-group case.  Fewer samples than groups (``_groups``)
 or a group sum past float64 range is a :class:`~advmean.errors.DomainError`;
-a group holding both infinities, like one holding a NaN, has the mean NaN.
+a group holding a NaN, or both infinities, has the mean NaN.
 Output is deterministic and unchanged by permuting samples within a group;
 permutations across group boundaries can change it.
 """
@@ -54,18 +54,10 @@ def _group_means(samples, delta: float | None) -> list[float]:
     base, extra = divmod(values.size, k)
     sizes = [base + 1] * extra + [base] * (k - extra)
     try:
-        sums = _fsums(values, sizes, _fsum)
+        sums = _fsums(values, sizes)
     except OverflowError:
         raise DomainError("a group sum overflows float64; rescale the samples") from None
     return [s / size for s, size in zip(sums, sizes)]
-
-
-def _fsum(terms: list[float]) -> float:
-    """``fsum``, but NaN for a group holding both infinities."""
-    try:
-        return math.fsum(terms)
-    except ValueError:  # -inf + inf
-        return math.nan
 
 
 def median_of_means(samples, delta: float) -> float:

@@ -511,14 +511,19 @@ class TestWriter:
 def sum_terms(draw):
     """A float64 array on either side of EXTRACT_MIN_TERMS: terms at binary
     exponents over a span of up to the whole float range (subnormals and
-    values near 2^1023 among them), all positive, half of them cancelling
-    the other half, or with a few infinities, NaNs or largest floats mixed in."""
+    values near 2^1023 among them), in two or three copies of that span up to
+    2000 binades apart, all positive, half of them cancelling the other half,
+    or with a few infinities, NaNs or largest floats mixed in."""
     n = draw(st.sampled_from([511, 512, 513, 1400, 10_001]) | st.integers(0, 1100))
     lo = draw(st.sampled_from([-1074, -1040]) | st.integers(-1074, 1023))
     hi = draw(st.integers(lo, min(lo + draw(st.sampled_from([0, 60, 200, 2100])), 1023)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    values = rng.uniform(-1.0, 1.0, n) * 2.0 ** rng.integers(lo, hi + 1, n)
-    shape = draw(st.sampled_from(["signed", "positive", "cancelling"]))
+    exponents = rng.integers(lo, hi + 1, n)
+    shape = draw(st.sampled_from(["signed", "positive", "cancelling", "clusters"]))
+    if shape == "clusters":
+        shifts = draw(st.lists(st.integers(-2000, 2000), min_size=1, max_size=2))
+        exponents = np.clip(exponents + rng.choice([0, *shifts], n), -1074, 1023)
+    values = rng.uniform(-1.0, 1.0, n) * 2.0 ** exponents
     if shape == "positive":
         values = np.abs(values)
     elif shape == "cancelling":
@@ -530,15 +535,19 @@ def sum_terms(draw):
 
 
 def _sum_outcome(fsum, values):
-    """``fsum(values)``'s ``hex`` (sign of zero and NaN included), or its error."""
+    """``fsum(values)``'s ``hex`` (sign of zero and NaN included), or its overflow."""
     try:
         return fsum(values).hex()
-    except (OverflowError, ValueError) as exc:
+    except OverflowError as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
 def _fsum_list(values):
-    return math.fsum(values.tolist())
+    """``math.fsum`` over ``values``; NaN where it refuses -inf + inf."""
+    try:
+        return math.fsum(values.tolist())
+    except ValueError:
+        return math.nan
 
 
 def _two_rounds_unfinished(values):
@@ -547,13 +556,33 @@ def _two_rounds_unfinished(values):
     top = float(np.abs(values).max()) if values.size >= EXTRACT_MIN_TERMS else math.inf
     if not top < 2.0 ** (1023 - m):
         return _fsum_list(values)
-    sigma, total = math.ldexp(1.0, math.frexp(top)[1] + m), 0.0
+    total = 0.0
     for _ in range(2):
+        sigma = math.ldexp(1.0, math.frexp(top)[1] + m)
         q = (values + sigma) - sigma
         values = values - q
         total += float(q.sum())
-        sigma = math.ldexp(sigma, m - 53)
+        top = float(np.abs(values).max())
     return total
+
+
+class _RoundCounter:
+    """Stands in for ``numpy`` in ``distribution``: ``np.add`` still adds, and
+    its ``reduceat`` calls, one per extraction round, are counted."""
+
+    def __init__(self):
+        self.rounds = 0
+        self.add = self
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def __call__(self, *args, **kwargs):
+        return np.add(*args, **kwargs)
+
+    def reduceat(self, *args, **kwargs):
+        self.rounds += 1
+        return np.add.reduceat(*args, **kwargs)
 
 
 class TestExactSums:
@@ -563,6 +592,23 @@ class TestExactSums:
     @settings(max_examples=300, deadline=None)
     def test_matches_fsum(self, values):
         assert _sum_outcome(lambda v: _fsums(v)[0], values) == _sum_outcome(_fsum_list, values)
+
+    @pytest.mark.parametrize("size", [EXTRACT_MIN_TERMS - 1, EXTRACT_MIN_TERMS])
+    def test_both_infinities_give_nan(self, size):
+        values = np.ones(size)
+        values[[0, -1]] = [math.inf, -math.inf]
+        assert math.isnan(_fsums(values)[0])
+
+    def test_rounds_skip_empty_exponent_ranges(self, monkeypatch):
+        # median_of_means' call at n=1400, delta=0.05 on uniforms at scale 1 or
+        # 2^-600: rounds extract each cluster's bits and none of the gap's
+        rng = np.random.default_rng(1)
+        batch = rng.uniform(-1.0, 1.0, 1400) * np.where(rng.random(1400) < 0.5, 1.0, 2.0**-600)
+        expected = [_fsum_list(group) for group in np.split(batch, 14)]
+        counter = _RoundCounter()
+        monkeypatch.setattr(distribution, "np", counter)
+        assert _fsums(batch, [100] * 14) == expected
+        assert counter.rounds <= 4
 
     def test_property_rejects_two_unfinished_rounds(self):
         find(
