@@ -78,7 +78,8 @@ def _fsums(values: np.ndarray, sizes=None) -> list[float]:
     starts = np.array([0, *accumulate(sizes[:-1])])
     m = (max(sizes) + 1).bit_length()
     q = np.abs(values)  # each round's |residual|, then its extracted terms, in place
-    top = float(q.max()) if values.size >= EXTRACT_MIN_TERMS else math.inf
+    # argmax (a faster pass than max) gives a NaN's index too, so a NaN ends the rounds
+    top = float(q[q.argmax()]) if values.size >= EXTRACT_MIN_TERMS else math.inf
     parts, values = [], values.copy()  # the residual, in place
     while 2.0 ** (-1022 - m) <= top < 2.0 ** (1023 - m):
         sigma = math.ldexp(1.0, math.frexp(top)[1] + m)
@@ -86,7 +87,7 @@ def _fsums(values: np.ndarray, sizes=None) -> list[float]:
         q -= sigma
         values -= q
         parts.append(np.add.reduceat(q, starts))
-        top = float(np.abs(values, out=q).max())
+        top = float(q[np.abs(values, out=q).argmax()])
     if top == 0.0 and len(parts) in (1, 2):  # one addition rounds an exact float pair
         return sum(parts).tolist()
     totals = np.reshape(parts, (-1, len(sizes))).T.tolist()

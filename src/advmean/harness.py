@@ -21,8 +21,7 @@ depends only on ``(seed, trial_index)``: trials share no state, the order
 they run in does not matter, and identical configs reproduce
 bitwise-identical reports.  ``_stream_keys`` computes the keys of 1024
 trials at once by ``SeedSequence``'s own uint32 hash, column-wise, so each
-key, and so each stream, is bit for bit ``SeedSequence``'s; a block's first
-trial, keyed by ``SeedSequence`` itself, builds no block.  One loop,
+key, and so each stream, is bit for bit ``SeedSequence``'s.  One loop,
 ``_trial_rate``, keeps this contract: it alone calls :func:`trial_stream`,
 and hands a benchmark's outcome the streams of up to ``_BLOCK`` consecutive
 trials (``bench_mom`` flags missed budgets, ``lr_test_error`` wrong
@@ -169,8 +168,7 @@ def _stream_keys(seed: int, block: int) -> np.ndarray:
 def trial_stream(seed: int, trial: int) -> np.random.Generator:
     """Independent counter-based stream for one trial, keyed as ``SeedSequence([seed, trial])``."""
     seed, trial = _check_index("seed", seed), _check_index("trial", trial)
-    key = _PhiloxKey(seed, trial) if trial % _KEY_BLOCK else np.random.SeedSequence([seed, trial])
-    return np.random.Generator(np.random.Philox(key))
+    return np.random.Generator(np.random.Philox(_PhiloxKey(seed, trial)))
 
 
 def sample(d: AtomicDistribution, count: int, stream: np.random.Generator) -> np.ndarray:
